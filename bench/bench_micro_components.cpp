@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // components: the structures PPB touches on every host request must stay
-// O(1)-ish or the strategy's bookkeeping would eat its own latency gains.
+// O(1)-ish or the strategy's bookkeeping would eat its own latency gains,
+// and the I/O scheduler's per-dispatch cost must stay flat in ready depth.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,8 +11,11 @@
 #include "core/virtual_block.h"
 #include "ftl/flash_target.h"
 #include "ftl/mapping_table.h"
+#include "host/host_interface.h"
 #include "nand/error_model.h"
 #include "nand/latency_model.h"
+#include "ssd/experiment.h"
+#include "ssd/ssd.h"
 #include "trace/synthetic.h"
 #include "util/random.h"
 
@@ -147,6 +151,46 @@ void BM_SyntheticTraceNext(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyntheticTraceNext);
+
+// One scheduler pick + dispatch + read completion per iteration with the
+// ready set held at state.range(0) transactions: a closed loop of random
+// page reads keeps that many requests waiting behind the device's slots,
+// resubmitting one per completion.  The iteration also carries the host
+// interface's request bookkeeping and the FTL read; what must not change
+// across the Args is the scheduler's share (flat in ready depth).
+void BM_SchedulerDispatch(benchmark::State& state) {
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  auto config = ssd::ScaledConfig(ssd::FtlKind::kConventional, 256ull << 20,
+                                  16 * 1024, 2.0);
+  config.timing_mode = ftl::TimingMode::kQueued;
+  ssd::Ssd ssd(config);
+  const std::uint64_t span = ssd.LogicalBytes() / 100 * 80;
+  const Us prefill_end = ssd::ExperimentRunner(ssd).Prefill(span);
+  host::HostConfig host_config;
+  host_config.num_queues = 8;
+  host_config.queue_capacity =
+      (depth + host_config.device_slots) / host_config.num_queues + 1;
+  host::HostInterface host(ssd, host_config);
+  host.AdvanceTo(prefill_end);
+
+  const std::uint64_t page = config.geometry.page_size_bytes;
+  util::Xoshiro256StarStar rng(9);
+  host::HostInterface::CompletionCallback resubmit =
+      [&](const host::HostCompletion&) {
+        host.Submit(trace::OpType::kRead, rng.UniformBelow(span / page) * page,
+                    page, resubmit);
+      };
+  for (std::uint32_t i = 0; i < depth + host_config.device_slots; ++i) {
+    resubmit(host::HostCompletion{});
+  }
+  for (auto _ : state) {
+    host.queue().Step();
+  }
+  state.counters["ready_depth"] =
+      static_cast<double>(host.scheduler().ReadyCount());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerDispatch)->Arg(16)->Arg(256)->Arg(4096);
 
 }  // namespace
 

@@ -41,6 +41,7 @@ Ppn MappingTable::Update(Lpn lpn, Ppn ppn) {
   }
   forward_[lpn] = ppn;
   reverse_[ppn] = lpn;
+  ++changes_;
   return old;
 }
 
@@ -51,6 +52,7 @@ Ppn MappingTable::Unmap(Lpn lpn) {
     reverse_[old] = kInvalidLpn;
     forward_[lpn] = kInvalidPpn;
     --mapped_;
+    ++changes_;
   }
   return old;
 }
@@ -101,6 +103,7 @@ void MappingTable::LoadState(util::StateReader& r) {
   forward_.assign(fwd.begin(), fwd.end());
   reverse_.assign(rev.begin(), rev.end());
   mapped_ = r.GetU64();
+  ++changes_;
 }
 
 }  // namespace ctflash::ftl

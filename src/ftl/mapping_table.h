@@ -44,6 +44,12 @@ class MappingTable {
 
   std::uint64_t mapped_count() const { return mapped_; }
 
+  /// Bumped by every forward-map change (Update, an Unmap that released a
+  /// page, LoadState).  Lets a reader that resolved lpns earlier (the host
+  /// scheduler's read index) detect that its resolutions may be stale with
+  /// one comparison.  Not part of the serialized state.
+  std::uint64_t change_count() const { return changes_; }
+
   /// Full O(n) cross-check of forward/reverse consistency.
   bool CheckConsistent() const;
 
@@ -55,6 +61,7 @@ class MappingTable {
   std::vector<Ppn> forward_;
   std::vector<Lpn> reverse_;
   std::uint64_t mapped_ = 0;
+  std::uint64_t changes_ = 0;
 };
 
 }  // namespace ctflash::ftl

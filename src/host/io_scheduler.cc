@@ -1,10 +1,12 @@
 #include "host/io_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
 #include "ftl/ftl_base.h"
+#include "util/logging.h"
 
 namespace ctflash::host {
 
@@ -58,7 +60,24 @@ IoScheduler::IoScheduler(ssd::Ssd& ssd, sim::EventQueue& queue,
   if (gc_aging_limit == 0) {
     throw std::invalid_argument("IoScheduler: gc_aging_limit must be > 0");
   }
-  if (tenants_ != nullptr) arb_active_.resize(tenants_->TenantCount());
+  const std::uint32_t slots = tenants_ != nullptr ? tenants_->TenantCount() : 1;
+  if (tenants_ != nullptr) arb_active_.resize(slots);
+  // Queue layout: per tenant slot, one read queue per global plane plus the
+  // neutral (unmapped) queue; then one write FIFO per slot; then one GC
+  // copy queue per plane.
+  const auto& geo = ssd_.target().geometry();
+  planes_ = static_cast<std::uint32_t>(geo.TotalPlanes());
+  planes_per_die_ = geo.planes_per_die;
+  first_write_queue_ = slots * (planes_ + 1);
+  first_gc_queue_ = first_write_queue_ + slots;
+  queues_.assign(first_gc_queue_ + planes_, Queue{kNil, kNil, kNeutralPlane});
+  for (std::uint32_t p = 0; p < planes_; ++p) {
+    for (std::uint32_t slot = 0; slot < slots; ++slot) {
+      queues_[slot * (planes_ + 1) + p].plane = p;
+    }
+    queues_[first_gc_queue_ + p].plane = p;
+  }
+  nonempty_.assign((queues_.size() + 63) / 64, 0);
   if (ssd_.ftl().config().gc_routing == ftl::GcRouting::kScheduled) {
     ssd_.ftl().AttachGcScheduler();
     attached_gc_ = true;
@@ -91,7 +110,7 @@ void IoScheduler::DetachObserver(sched::SchedulerObserver* observer) {
 
 void IoScheduler::Enqueue(FlashTransaction txn) {
   txn.seq = next_seq_++;
-  ready_.push_back(ReadyTxn{txn, 0, queue_.Now(), false});
+  Admit(txn);
   Pump();
 }
 
@@ -102,20 +121,143 @@ void IoScheduler::PullGcWork() {
   ftl.DrainGcTransactions(gc_intake_);
   for (auto& txn : gc_intake_) {
     txn.seq = next_seq_++;
-    if (txn.source == sched::TxnSource::kGcCopy) {
-      gc_copies_undispatched_[txn.gc_block]++;
-    }
-    ready_.push_back(ReadyTxn{txn, 0, queue_.Now(), false});
-    ++gc_ready_;
+    Admit(txn);
   }
 }
 
-bool IoScheduler::Eligible(const ReadyTxn& rt, bool write_pressure) const {
+void IoScheduler::Admit(const FlashTransaction& txn) {
+  std::uint32_t node = free_nodes_;
+  if (node == kNil) {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    free_nodes_ = nodes_[node].next;
+  }
+  ReadyTxn& rt = nodes_[node];
+  rt = ReadyTxn{txn, queue_.Now()};
+  ++ready_count_;
+  switch (txn.source) {
+    case sched::TxnSource::kHostRead:
+      // With no read waiting, every waiting read is resolved at the
+      // current mapping once this one is.
+      if (reads_ready_++ == 0) {
+        reads_resolved_at_ = ssd_.ftl().mapping().change_count();
+      }
+      Append(ReadQueueOf(txn), node);
+      return;
+    case sched::TxnSource::kHostWrite:
+      rt.age_base = host_read_dispatches_;
+      rt.held_base = write_hold_picks_;
+      ++writes_ready_;
+      Append(first_write_queue_ + SlotOf(txn), node);
+      return;
+    case sched::TxnSource::kGcCopy: {
+      rt.age_base = host_dispatches_;
+      ++gc_ready_;
+      gc_copies_undispatched_[txn.gc_block]++;
+      const BlockId src = ssd_.target().geometry().BlockOf(txn.gc_src);
+      Append(first_gc_queue_ + static_cast<std::uint32_t>(src % planes_), node);
+      return;
+    }
+    case sched::TxnSource::kGcErase:
+      rt.age_base = host_dispatches_;
+      rt.queue = kEraseList;
+      ++gc_ready_;
+      erases_.push_back(node);
+      return;
+  }
+}
+
+std::uint32_t IoScheduler::SlotOf(const FlashTransaction& txn) const {
+  if (tenants_ == nullptr) return 0;
+  CTFLASH_CHECK(txn.tenant < arb_active_.size());
+  return txn.tenant;
+}
+
+std::uint32_t IoScheduler::ReadQueueOf(const FlashTransaction& txn) const {
+  const Ppn ppn = ssd_.ftl().ProbePpn(txn.lpn);
+  // planes_ indexes the slot's neutral queue: no flash work, no plane.
+  const std::uint64_t plane =
+      ppn == kInvalidPpn ? planes_
+                         : ssd_.target().geometry().BlockOf(ppn) % planes_;
+  return SlotOf(txn) * (planes_ + 1) + static_cast<std::uint32_t>(plane);
+}
+
+void IoScheduler::Append(std::uint32_t queue, std::uint32_t node) {
+  ReadyTxn& rt = nodes_[node];
+  rt.queue = queue;
+  rt.next = kNil;
+  Queue& q = queues_[queue];
+  if (q.tail == kNil) {
+    q.head = node;
+    nonempty_[queue / 64] |= 1ull << (queue % 64);
+  } else {
+    nodes_[q.tail].next = node;
+  }
+  q.tail = node;
+}
+
+void IoScheduler::ResolveReads() {
+  // Unlink the reads whose page now sits on another plane (or lost its
+  // mapping); the reads that stay keep their intake order ...
+  resolve_scratch_.clear();
+  for (std::uint32_t queue = 0; queue < first_write_queue_; ++queue) {
+    Queue& q = queues_[queue];
+    std::uint32_t prev = kNil;
+    for (std::uint32_t n = q.head; n != kNil;) {
+      const std::uint32_t next = nodes_[n].next;
+      if (ReadQueueOf(nodes_[n].txn) == queue) {
+        prev = n;
+      } else {
+        (prev == kNil ? q.head : nodes_[prev].next) = next;
+        if (q.tail == n) q.tail = prev;
+        resolve_scratch_.push_back(n);
+      }
+      n = next;
+    }
+    if (q.head == kNil) nonempty_[queue / 64] &= ~(1ull << (queue % 64));
+  }
+  // ... and the moved ones go to their new queue at their intake position.
+  std::sort(resolve_scratch_.begin(), resolve_scratch_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return nodes_[a].txn.seq < nodes_[b].txn.seq;
+            });
+  for (const std::uint32_t n : resolve_scratch_) {
+    const std::uint32_t queue = ReadQueueOf(nodes_[n].txn);
+    const Queue& q = queues_[queue];
+    if (q.tail == kNil || nodes_[q.tail].txn.seq < nodes_[n].txn.seq) {
+      Append(queue, n);
+      continue;
+    }
+    // The tail is later, so the walk stops inside the queue.
+    std::uint32_t* link = &queues_[queue].head;
+    while (nodes_[*link].txn.seq < nodes_[n].txn.seq) {
+      link = &nodes_[*link].next;
+    }
+    nodes_[n].queue = queue;
+    nodes_[n].next = *link;
+    *link = n;
+  }
+  reads_resolved_at_ = ssd_.ftl().mapping().change_count();
+}
+
+template <typename Fn>
+void IoScheduler::ForEachCandidate(Fn&& fn) const {
+  for (std::size_t w = 0; w < nonempty_.size(); ++w) {
+    for (std::uint64_t bits = nonempty_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t queue = w * 64 + std::countr_zero(bits);
+      fn(queues_[queue].head);
+    }
+  }
+  for (const std::uint32_t node : erases_) fn(node);
+}
+
+bool IoScheduler::Eligible(const ReadyTxn& rt, bool writes_held) const {
   switch (rt.txn.source) {
     case sched::TxnSource::kHostWrite:
       // Admission guard: while GC work is ready and the pool sits at the
       // write floor, writes wait so GC can replenish first.
-      return !(write_pressure && gc_ready_ > 0);
+      return !writes_held;
     case sched::TxnSource::kGcErase: {
       // The victim must be fully relocated before it is erased.
       const auto it = gc_copies_undispatched_.find(rt.txn.gc_block);
@@ -133,50 +275,53 @@ int IoScheduler::RankOf(const ReadyTxn& rt, bool urgent) const {
   // aged out — boosted GC overtakes host writes, never host reads.
   constexpr int kBoostedGcRank = 1;
   if (sched::IsGc(rt.txn.source) &&
-      (urgent || rt.age >= gc_aging_limit_)) {
+      (urgent || host_dispatches_ - rt.age_base >= gc_aging_limit_)) {
     return kBoostedGcRank;
   }
   // Write aging closes the read-flood starvation gap: an aged host write
   // joins the read rank (and competes there on die keys), so sustained
   // reads can defer a write by at most `write_aging_limit` dispatches.
   if (rt.txn.source == sched::TxnSource::kHostWrite &&
-      write_aging_limit_ > 0 && rt.age >= write_aging_limit_) {
+      write_aging_limit_ > 0 &&
+      host_read_dispatches_ - rt.age_base >= write_aging_limit_) {
     return 0;
   }
   const int priority = sched::PriorityOf(rt.txn.source);
   return priority == 0 ? 0 : priority + 1;
 }
 
-IoScheduler::DispatchKey IoScheduler::KeyOf(const FlashTransaction& txn,
+IoScheduler::DispatchKey IoScheduler::PlaneKey(std::uint32_t plane) const {
+  return {ssd_.target().dies().At(plane / planes_per_die_).FreeAt(),
+          plane % planes_per_die_};
+}
+
+IoScheduler::DispatchKey IoScheduler::KeyOf(const ReadyTxn& rt,
                                             Us write_free_at) const {
-  const auto& geo = ssd_.target().geometry();
-  switch (txn.source) {
+  switch (rt.txn.source) {
     case sched::TxnSource::kHostWrite:
       // A write's die is decided by the FTL's write-frontier allocator at
       // dispatch time; the allocator's earliest frontier die (probed once
       // per PickNext — it is transaction-independent) is the best
       // prediction of when the program could start.
       return {write_free_at, 0};
-    case sched::TxnSource::kHostRead: {
-      const Ppn ppn = ssd_.ftl().ProbePpn(txn.lpn);
-      if (ppn == kInvalidPpn) {
-        // No flash work at all: startable now, but on no die — the neutral
-        // plane loses every tie so it cannot leapfrog real work that is
-        // also startable (it has no die to win for anyone).
+    case sched::TxnSource::kHostRead:
+    case sched::TxnSource::kGcCopy: {
+      // A read's queue is the plane of its page (resolved against the
+      // current mapping before the pick); a copy's is its source page's
+      // plane (the destination die is the GC frontier's business at
+      // execution time).
+      const std::uint32_t plane = queues_[rt.queue].plane;
+      if (plane == kNeutralPlane) {
+        // An unmapped read has no flash work at all: startable now, but on
+        // no die — the neutral plane loses every tie so it cannot leapfrog
+        // real work that is also startable (it has no die to win for
+        // anyone).
         return {0, kNeutralPlane};
       }
-      const BlockId block = geo.BlockOf(ppn);
-      return {ssd_.target().DieFreeAt(block), geo.PlaneOfBlock(block)};
-    }
-    case sched::TxnSource::kGcCopy: {
-      // Conflict key of the relocation read: the source page's die (the
-      // destination die is the GC frontier's business at execution time).
-      const BlockId block = geo.BlockOf(txn.gc_src);
-      return {ssd_.target().DieFreeAt(block), geo.PlaneOfBlock(block)};
+      return PlaneKey(plane);
     }
     case sched::TxnSource::kGcErase:
-      return {ssd_.target().DieFreeAt(txn.gc_block),
-              geo.PlaneOfBlock(txn.gc_block)};
+      return PlaneKey(static_cast<std::uint32_t>(rt.txn.gc_block % planes_));
   }
   return {0, 0};
 }
@@ -185,7 +330,8 @@ sched::DispatchContext IoScheduler::ContextOf(const ReadyTxn& rt) const {
   sched::DispatchContext ctx;
   ctx.dispatch_us = queue_.Now();
   ctx.enqueue_us = rt.enqueue_us;
-  ctx.write_held = rt.held;
+  ctx.write_held = rt.txn.source == sched::TxnSource::kHostWrite &&
+                   write_hold_picks_ != rt.held_base;
   const auto& geo = ssd_.target().geometry();
   switch (rt.txn.source) {
     case sched::TxnSource::kHostRead: {
@@ -217,47 +363,50 @@ sched::DispatchContext IoScheduler::ContextOf(const ReadyTxn& rt) const {
   return ctx;
 }
 
-std::size_t IoScheduler::PickNext(bool urgent, bool write_pressure) const {
+std::uint32_t IoScheduler::PickNext(bool urgent, bool write_pressure) {
+  const bool writes_held = write_pressure && gc_ready_ > 0;
+  std::uint32_t best = kNil;
   if (policy_ == SchedPolicy::kFifo) {
-    // Strict intake order among eligible transactions: ready_ stays in seq
-    // order (push_back + order-preserving erase).
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      if (Eligible(ready_[i], write_pressure)) return i;
-    }
-    return kNoPick;
+    // Strict intake order among eligible transactions.  Every queue is in
+    // intake order with one eligibility, so the earliest is a front.
+    ForEachCandidate([&](std::uint32_t node) {
+      const ReadyTxn& rt = nodes_[node];
+      if (!Eligible(rt, writes_held)) return;
+      if (best == kNil || rt.txn.seq < nodes_[best].txn.seq) best = node;
+    });
+    return best;
   }
   // Out-of-order: lowest priority rank wins; within a rank the earliest
-  // predicted die availability, then the plane stripe, then intake order
-  // (equal keys keep the earlier index, which is the lower seq).
+  // predicted die availability, then the plane stripe, then intake order.
   const Us now = queue_.Now();
-  const Us write_free_at = ssd_.ftl().ProbeWriteFreeAt().value_or(0);
+  const Us write_free_at =
+      writes_ready_ > 0 ? ssd_.ftl().ProbeWriteFreeAt().value_or(0) : 0;
 
   // Multi-tenant arbitration inserts one step between the rank and the die
   // key: find the winning rank, let the tenant table pick the tenant to
   // serve (weighted DRR + min-share floor), then key-order only within that
-  // tenant's candidates.  Without tenants the single-pass pick below is the
-  // seed path, byte-for-byte.
+  // tenant's candidates.  A tenant has eligible work at the winning rank
+  // iff one of its fronts does (fronts hold their queue's lowest rank).
   qos::TenantId serve = qos::kNoTenant;
   if (tenants_ != nullptr) {
-    // Single pass: track the winning rank, restarting the per-tenant
-    // active set whenever a strictly lower rank appears.
+    // One pass: track the winning rank, restarting the per-tenant active
+    // set whenever a strictly lower rank appears.
     int winning_rank = -1;
     bool any_tenant = false;
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      if (!Eligible(ready_[i], write_pressure)) continue;
-      const int rank = RankOf(ready_[i], urgent);
+    ForEachCandidate([&](std::uint32_t node) {
+      const ReadyTxn& rt = nodes_[node];
+      if (!Eligible(rt, writes_held)) return;
+      const int rank = RankOf(rt, urgent);
       if (winning_rank < 0 || rank < winning_rank) {
         winning_rank = rank;
         arb_active_.assign(arb_active_.size(), false);
         any_tenant = false;
       }
-      if (rank != winning_rank) continue;
-      const std::uint32_t tenant = ready_[i].txn.tenant;
-      if (tenant == qos::kNoTenant) continue;
-      arb_active_[tenant] = true;
+      if (rank != winning_rank || rt.txn.tenant == qos::kNoTenant) return;
+      arb_active_[rt.txn.tenant] = true;
       any_tenant = true;
-    }
-    if (winning_rank < 0) return kNoPick;
+    });
+    if (winning_rank < 0) return kNil;
     // Host ranks only (0 = reads + aged writes, 2 = writes); GC carries no
     // tenant.  Arbitrate when the rank's candidates name any tenant.
     if (any_tenant && (winning_rank == 0 || winning_rank == 2)) {
@@ -267,34 +416,50 @@ std::size_t IoScheduler::PickNext(bool urgent, bool write_pressure) const {
     }
   }
 
-  std::size_t best = kNoPick;
   int best_rank = 0;
   DispatchKey best_key{};
-  for (std::size_t i = 0; i < ready_.size(); ++i) {
-    if (!Eligible(ready_[i], write_pressure)) continue;
-    if (serve != qos::kNoTenant && ready_[i].txn.tenant != serve) continue;
-    const int rank = RankOf(ready_[i], urgent);
-    // A strictly worse rank can never win, whatever its key — skip the key
-    // computation (KeyOf probes the mapping table per candidate, the hot
-    // cost of this scan at deep ready queues).
-    if (best != kNoPick && rank > best_rank) continue;
-    DispatchKey key = KeyOf(ready_[i].txn, write_free_at);
+  ForEachCandidate([&](std::uint32_t node) {
+    const ReadyTxn& rt = nodes_[node];
+    if (!Eligible(rt, writes_held)) return;
+    if (serve != qos::kNoTenant && rt.txn.tenant != serve) return;
+    const int rank = RankOf(rt, urgent);
+    // A strictly worse rank can never win, whatever its key.
+    if (best != kNil && rank > best_rank) return;
+    DispatchKey key = KeyOf(rt, write_free_at);
     if (key.start < now) key.start = now;
-    if (best == kNoPick || rank < best_rank ||
+    if (best == kNil || rank < best_rank ||
         (rank == best_rank &&
          (key.start < best_key.start ||
-          (key.start == best_key.start && key.plane < best_key.plane)))) {
-      best = i;
+          (key.start == best_key.start &&
+           (key.plane < best_key.plane ||
+            (key.plane == best_key.plane &&
+             rt.txn.seq < nodes_[best].txn.seq)))))) {
+      best = node;
       best_rank = rank;
       best_key = key;
     }
-  }
+  });
   return best;
 }
 
-void IoScheduler::Dispatch(std::size_t idx) {
-  const ReadyTxn rt = ready_[idx];
-  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(idx));
+void IoScheduler::Dispatch(std::uint32_t node) {
+  const ReadyTxn rt = nodes_[node];
+  if (rt.queue == kEraseList) {
+    erases_.erase(std::find(erases_.begin(), erases_.end(), node));
+  } else {
+    // Only a front can win a pick.
+    Queue& q = queues_[rt.queue];
+    CTFLASH_CHECK(q.head == node);
+    q.head = rt.next;
+    if (q.head == kNil) {
+      q.tail = kNil;
+      nonempty_[rt.queue / 64] &= ~(1ull << (rt.queue % 64));
+    }
+  }
+  nodes_[node].next = free_nodes_;
+  free_nodes_ = node;
+  --ready_count_;
+
   const FlashTransaction& txn = rt.txn;
   ++in_flight_;
   if (in_flight_ > peak_in_flight_) peak_in_flight_ = in_flight_;
@@ -307,24 +472,17 @@ void IoScheduler::Dispatch(std::size_t idx) {
       if (--it->second == 0) gc_copies_undispatched_.erase(it);
     }
   } else {
-    if (gc_ready_ > 0) {
-      // A host dispatch overtook waiting GC work: advance its age toward
-      // the boost so deferral stays bounded.
-      for (auto& waiting : ready_) {
-        if (sched::IsGc(waiting.txn.source)) ++waiting.age;
-      }
-      if (txn.source == sched::TxnSource::kHostRead) ++read_preemptions_;
-    }
-    if (write_aging_limit_ > 0) {
-      // Same bound for host writes overtaken by host reads.
-      if (txn.source == sched::TxnSource::kHostRead) {
-        for (auto& waiting : ready_) {
-          if (waiting.txn.source == sched::TxnSource::kHostWrite) {
-            ++waiting.age;
-          }
-        }
-      } else if (txn.source == sched::TxnSource::kHostWrite &&
-                 rt.age >= write_aging_limit_) {
+    // Every host dispatch overtakes all waiting GC work (their aging
+    // clock); a host read also overtakes all waiting writes.
+    ++host_dispatches_;
+    if (txn.source == sched::TxnSource::kHostRead) {
+      --reads_ready_;
+      ++host_read_dispatches_;
+      if (gc_ready_ > 0) ++read_preemptions_;
+    } else {
+      --writes_ready_;
+      if (write_aging_limit_ > 0 &&
+          host_read_dispatches_ - rt.age_base >= write_aging_limit_) {
         ++aged_write_dispatches_;
       }
     }
@@ -388,30 +546,23 @@ void IoScheduler::Pump() {
     // Pull freshly planned GC work first: the pool state may have changed
     // with the previous dispatch (writes consume blocks, erases free them).
     PullGcWork();
-    if (ready_.empty()) break;
+    if (ready_count_ == 0) break;
     const auto& ftl = ssd_.ftl();
     const bool scheduled = ftl.ScheduledGcActive();
     const bool urgent = scheduled && ftl.GcUrgent();
     const bool write_pressure = scheduled && ftl.GcWritePressure();
-    if (write_pressure && gc_ready_ > 0) {
-      bool counted = false;
-      for (auto& rt : ready_) {
-        if (rt.txn.source == sched::TxnSource::kHostWrite) {
-          if (!counted) {
-            ++write_hold_picks_;
-            counted = true;
-          }
-          // Mark every held write so the tracer can attribute its queueing
-          // delay to the admission guard; without observers the first hit
-          // still short-circuits as before.
-          if (observers_.empty()) break;
-          rt.held = true;
-        }
-      }
+    // The admission guard holds every waiting write at this pick; the count
+    // is also the clock that ReadyTxn::held_base stamps.
+    if (write_pressure && gc_ready_ > 0 && writes_ready_ > 0) {
+      ++write_hold_picks_;
     }
-    const std::size_t idx = PickNext(urgent, write_pressure);
-    if (idx == kNoPick) break;  // everything ready is held/gated
-    Dispatch(idx);
+    if (policy_ == SchedPolicy::kOutOfOrder && reads_ready_ > 0 &&
+        ftl.mapping().change_count() != reads_resolved_at_) {
+      ResolveReads();
+    }
+    const std::uint32_t node = PickNext(urgent, write_pressure);
+    if (node == kNil) break;  // everything ready is held/gated
+    Dispatch(node);
   }
 }
 

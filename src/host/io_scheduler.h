@@ -57,6 +57,43 @@
 // dispatch time and use the write-frontier availability probe; unmapped
 // reads carry no flash work at all and take a NEUTRAL key (startable now,
 // worst plane) so they never leapfrog real work that is also startable.
+//
+// The ready index.  Out-of-order dispatch minimizes (rank, start, plane,
+// seq) over the eligible ready transactions; FIFO minimizes seq.  Instead of
+// scanning every ready transaction per pick, the scheduler files each one in
+// a queue whose members share one dispatch key and one eligibility, in
+// intake order:
+//  * host reads by (tenant, global plane of the page they would read now),
+//    unmapped reads in one neutral queue per tenant;
+//  * host writes in one FIFO per tenant (every write keys on the frontier
+//    probe);
+//  * GC copies by source plane (the planner keeps one victim in flight, so
+//    in practice they share one queue);
+//  * GC erases in a short list, each gated on its own job's copies.
+// Front dominance: within a queue the key is shared, and no member ranks
+// better than the front (the front waited longest, so it has aged the
+// most) or comes earlier in intake order, so the front beats every later
+// member and only fronts can win a pick.  PickNext compares the fronts of
+// the non-empty queues — found through a bitmask, so empty queues cost
+// nothing — plus the erase list.
+// With tenants, DRR chooses the tenant from the fronts at the winning rank.
+// A pick therefore costs O(non-empty queues), flat in ready depth.
+//
+// Aging, the held-write flag and the hold-pick count need no pass over the
+// ready set either: the scheduler counts host dispatches, host-read
+// dispatches and held picks, and each transaction stamps the relevant
+// counter at intake — its age is how far that counter moved since.  A
+// write is reported held (DispatchContext::write_held) when any pick held
+// writes while it waited.
+//
+// Re-resolving reads.  A read's queue records the mapping at intake (or at
+// the last re-resolve).  MappingTable::change_count() moves with every
+// remap; when it moved while reads wait, the next out-of-order pick
+// re-probes every waiting read and moves those whose plane changed, in
+// intake order (O(waiting reads)).  That is rare: with write aging off,
+// only host reads dispatch while a host read waits, and a read remaps only
+// when its data is lost; aged writes, and the inline GC they run, are the
+// common trigger.  FIFO ignores keys, so it never re-resolves.
 #pragma once
 
 #include <cstdint>
@@ -124,12 +161,12 @@ class IoScheduler {
   void AttachObserver(sched::SchedulerObserver* observer);
   void DetachObserver(sched::SchedulerObserver* observer);
 
-  /// Adds a host transaction to the ready set and dispatches while slots
+  /// Adds a host transaction to the ready index and dispatches while slots
   /// allow.  The scheduler stamps the global intake sequence.
   void Enqueue(FlashTransaction txn);
 
   std::uint32_t InFlight() const { return in_flight_; }
-  std::size_t ReadyCount() const { return ready_.size(); }
+  std::size_t ReadyCount() const { return ready_count_; }
   std::uint64_t DispatchedCount() const { return dispatched_; }
   /// Highest number of simultaneously in-flight transactions observed.
   std::uint32_t PeakInFlight() const { return peak_in_flight_; }
@@ -152,16 +189,29 @@ class IoScheduler {
   std::uint64_t WriteHoldPicks() const { return write_hold_picks_; }
 
  private:
-  /// A ready transaction plus its aging state: overtakes seen by waiting
-  /// GC work (any host dispatch) or by waiting host writes (host-read
-  /// dispatches, when write aging is enabled).
+  /// A waiting transaction: one node of the ready index.  Nodes live in one
+  /// pool and link into their queue, so the index holds storage only for
+  /// waiting transactions (empty queues are two indices).
   struct ReadyTxn {
     FlashTransaction txn;
-    std::uint32_t age = 0;
     /// Intake time (observer latency attribution; unused by scheduling).
     Us enqueue_us = 0;
-    /// The write-admission guard held this write at least once.
-    bool held = false;
+    /// Aging counter at intake: host dispatches for GC work, host-read
+    /// dispatches for host writes.  The age is that counter's advance.
+    std::uint64_t age_base = 0;
+    /// WriteHoldPicks() at intake: a write was held iff it advanced.
+    std::uint64_t held_base = 0;
+    std::uint32_t queue = 0;  ///< owning queue, or kEraseList
+    std::uint32_t next = 0;   ///< next node in the queue (or free list)
+  };
+
+  /// Intake-ordered singly linked list of pool nodes.
+  struct Queue {
+    std::uint32_t head;
+    std::uint32_t tail;
+    /// Global plane every member keys on; kNeutralPlane for unmapped
+    /// reads (and unused for writes).
+    std::uint32_t plane;
   };
 
   /// Out-of-order sort key within a priority rank: earliest cell-op start
@@ -171,24 +221,40 @@ class IoScheduler {
     std::uint32_t plane = 0;
   };
 
-  static constexpr std::size_t kNoPick = ~static_cast<std::size_t>(0);
+  static constexpr std::uint32_t kNil = ~0u;
+  static constexpr std::uint32_t kEraseList = ~0u;
   /// Neutral plane for transactions with no die work (unmapped reads):
   /// loses every tie against real flash work, wins only over later starts.
   static constexpr std::uint32_t kNeutralPlane = ~0u;
 
   void Pump();
-  /// Drains the FTL's scheduled-GC planner into the ready set.
+  /// Drains the FTL's scheduled-GC planner into the ready index.
   void PullGcWork();
-  bool Eligible(const ReadyTxn& rt, bool write_pressure) const;
+  /// Stamps a transaction's counters and files it in its queue.
+  void Admit(const FlashTransaction& txn);
+  /// Tenant slot of a host transaction (0 without tenants).
+  std::uint32_t SlotOf(const FlashTransaction& txn) const;
+  /// Queue a host read belongs in under the current mapping.
+  std::uint32_t ReadQueueOf(const FlashTransaction& txn) const;
+  void Append(std::uint32_t queue, std::uint32_t node);
+  /// Re-files the waiting reads whose plane changed under the current
+  /// mapping, keeping intake order within each queue.
+  void ResolveReads();
+  /// Calls `fn(node)` for each pick candidate: every non-empty queue's
+  /// front, then each waiting erase.
+  template <typename Fn>
+  void ForEachCandidate(Fn&& fn) const;
+  bool Eligible(const ReadyTxn& rt, bool writes_held) const;
   int RankOf(const ReadyTxn& rt, bool urgent) const;
-  /// Index of the next transaction to dispatch, or kNoPick when nothing is
+  /// Node of the next transaction to dispatch, or kNil when nothing is
   /// eligible (held writes / gated erases wait for state to change).
-  std::size_t PickNext(bool urgent, bool write_pressure) const;
-  DispatchKey KeyOf(const FlashTransaction& txn, Us write_free_at) const;
+  std::uint32_t PickNext(bool urgent, bool write_pressure);
+  DispatchKey KeyOf(const ReadyTxn& rt, Us write_free_at) const;
+  DispatchKey PlaneKey(std::uint32_t plane) const;
   /// Resolves the observer-facing dispatch context (target die and its
   /// availability); only computed when observers are attached.
   sched::DispatchContext ContextOf(const ReadyTxn& rt) const;
-  void Dispatch(std::size_t idx);
+  void Dispatch(std::uint32_t node);
 
   ssd::Ssd& ssd_;
   sim::EventQueue& queue_;
@@ -197,22 +263,43 @@ class IoScheduler {
   std::uint32_t gc_aging_limit_;
   std::uint32_t write_aging_limit_;
   /// Borrowed from the host interface; non-null only in multi-tenant mode.
-  /// PickNext (const) arbitrates through it — tenant DRR state advances
-  /// exactly once per dispatched transaction.
+  /// PickNext arbitrates through it — tenant DRR state advances exactly
+  /// once per dispatched transaction.
   qos::TenantTable* tenants_;
   bool attached_gc_ = false;  ///< this scheduler is the FTL's GC sink
   std::uint32_t in_flight_ = 0;
   std::uint32_t peak_in_flight_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::vector<ReadyTxn> ready_;
+
+  // --- ready index (see file header) ---------------------------------------
+  std::uint32_t planes_ = 0;        ///< global planes on the device
+  std::uint32_t planes_per_die_ = 0;
+  std::uint32_t first_write_queue_ = 0;  ///< read queues precede it
+  std::uint32_t first_gc_queue_ = 0;
+  std::vector<ReadyTxn> nodes_;     ///< node pool
+  std::uint32_t free_nodes_ = kNil;  ///< free-list head through `next`
+  std::vector<Queue> queues_;
+  /// Bit q set iff queues_[q] is non-empty.
+  std::vector<std::uint64_t> nonempty_;
+  std::vector<std::uint32_t> erases_;  ///< waiting erase nodes, intake order
+  std::size_t ready_count_ = 0;
+  std::size_t reads_ready_ = 0;
+  std::size_t writes_ready_ = 0;
+  /// Mapping change count the waiting reads' queues were resolved at.
+  std::uint64_t reads_resolved_at_ = 0;
+  std::vector<std::uint32_t> resolve_scratch_;
+  // Aging clocks stamped into ReadyTxn::age_base.
+  std::uint64_t host_dispatches_ = 0;
+  std::uint64_t host_read_dispatches_ = 0;
+
   /// Copies of a GC job not yet dispatched, keyed by victim block; the
   /// job's erase is eligible only once its entry drains to zero.
   std::unordered_map<BlockId, std::uint32_t> gc_copies_undispatched_;
   std::vector<sched::FlashTransaction> gc_intake_;  ///< drain scratch buffer
   /// Per-tenant "has eligible work in the winning rank" scratch for
-  /// PickNext (mutable: PickNext is logically const; this is a buffer).
-  mutable std::vector<bool> arb_active_;
+  /// PickNext.
+  std::vector<bool> arb_active_;
   std::size_t gc_ready_ = 0;
   std::uint64_t gc_dispatched_ = 0;
   std::uint64_t gc_completed_ = 0;

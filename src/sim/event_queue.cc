@@ -1,61 +1,34 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace ctflash::sim {
 
-std::uint64_t EventQueue::ScheduleAt(Us at, EventCallback cb) {
+void EventQueue::ScheduleAt(Us at, EventCallback cb) {
   if (at < now_) {
     throw std::invalid_argument("EventQueue::ScheduleAt: time in the past");
   }
   if (!cb) throw std::invalid_argument("EventQueue::ScheduleAt: null callback");
-  const std::uint64_t handle = next_handle_++;
-  heap_.push(Entry{at, next_seq_++, handle, std::move(cb)});
-  ++live_events_;
-  return handle;
+  heap_.push(Entry{at, next_seq_++, std::move(cb)});
 }
 
-std::uint64_t EventQueue::ScheduleAfter(Us delay, EventCallback cb) {
+void EventQueue::ScheduleAfter(Us delay, EventCallback cb) {
   if (delay < 0) {
     throw std::invalid_argument("EventQueue::ScheduleAfter: negative delay");
   }
-  return ScheduleAt(now_ + delay, std::move(cb));
-}
-
-bool EventQueue::Cancel(std::uint64_t handle) {
-  if (handle == 0 || handle >= next_handle_) return false;
-  if (IsCancelled(handle)) return false;
-  // We cannot remove from the heap lazily-free; mark and skip on pop.
-  cancelled_.push_back(handle);
-  if (live_events_ == 0) return false;
-  --live_events_;
-  return true;
-}
-
-bool EventQueue::IsCancelled(std::uint64_t handle) const {
-  return std::find(cancelled_.begin(), cancelled_.end(), handle) !=
-         cancelled_.end();
+  ScheduleAt(now_ + delay, std::move(cb));
 }
 
 bool EventQueue::Step() {
-  while (!heap_.empty()) {
-    // Move the entry out instead of copying: the std::function payload owns
-    // heap storage, and this pop is the hottest line of the simulator.
-    // Mutating top() is safe because pop() immediately discards the slot.
-    Entry top = std::move(const_cast<Entry&>(heap_.top()));
-    heap_.pop();
-    if (IsCancelled(top.handle)) {
-      cancelled_.erase(
-          std::find(cancelled_.begin(), cancelled_.end(), top.handle));
-      continue;
-    }
-    now_ = top.at;
-    --live_events_;
-    top.cb(now_);
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  // Move the entry out instead of copying: the std::function payload owns
+  // heap storage, and this pop is the hottest line of the simulator.
+  // Mutating top() is safe because pop() immediately discards the slot.
+  Entry top = std::move(const_cast<Entry&>(heap_.top()));
+  heap_.pop();
+  now_ = top.at;
+  top.cb(now_);
+  return true;
 }
 
 std::uint64_t EventQueue::RunToCompletion() {
@@ -66,9 +39,9 @@ std::uint64_t EventQueue::RunToCompletion() {
 
 std::uint64_t EventQueue::RunUntil(Us deadline) {
   std::uint64_t fired = 0;
-  while (!heap_.empty()) {
-    if (heap_.top().at > deadline) break;
-    if (Step()) ++fired;
+  while (!heap_.empty() && heap_.top().at <= deadline) {
+    Step();
+    ++fired;
   }
   if (now_ < deadline) now_ = deadline;
   return fired;

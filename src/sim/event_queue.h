@@ -26,14 +26,10 @@ class EventQueue {
   Us Now() const { return now_; }
 
   /// Schedules `cb` at absolute time `at` (must be >= Now()).
-  /// Returns a handle usable with Cancel().
-  std::uint64_t ScheduleAt(Us at, EventCallback cb);
+  void ScheduleAt(Us at, EventCallback cb);
 
   /// Schedules `cb` `delay` microseconds from now.
-  std::uint64_t ScheduleAfter(Us delay, EventCallback cb);
-
-  /// Cancels a pending event; returns false if already fired/cancelled.
-  bool Cancel(std::uint64_t handle);
+  void ScheduleAfter(Us delay, EventCallback cb);
 
   /// Fires the next event; returns false when the queue is empty.
   bool Step();
@@ -44,14 +40,13 @@ class EventQueue {
   /// Runs events with time <= deadline. Time advances to at most deadline.
   std::uint64_t RunUntil(Us deadline);
 
-  bool Empty() const { return live_events_ == 0; }
-  std::size_t PendingCount() const { return live_events_; }
+  bool Empty() const { return heap_.empty(); }
+  std::size_t PendingCount() const { return heap_.size(); }
 
  private:
   struct Entry {
     Us at;
     std::uint64_t seq;
-    std::uint64_t handle;
     EventCallback cb;
     bool operator>(const Entry& other) const {
       if (at != other.at) return at > other.at;
@@ -60,13 +55,8 @@ class EventQueue {
   };
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::vector<std::uint64_t> cancelled_;  // sorted-insert not needed; small
   Us now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_handle_ = 1;
-  std::size_t live_events_ = 0;
-
-  bool IsCancelled(std::uint64_t handle) const;
 };
 
 }  // namespace ctflash::sim

@@ -15,9 +15,11 @@ TEST(EventQueue, FiresInTimeOrder) {
   q.ScheduleAt(30, [&](Us) { order.push_back(3); });
   q.ScheduleAt(10, [&](Us) { order.push_back(1); });
   q.ScheduleAt(20, [&](Us) { order.push_back(2); });
-  q.RunToCompletion();
+  EXPECT_EQ(q.PendingCount(), 3u);
+  EXPECT_EQ(q.RunToCompletion(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.Now(), 30);
+  EXPECT_TRUE(q.Empty());
 }
 
 TEST(EventQueue, SameTimeFiresInScheduleOrder) {
@@ -52,22 +54,6 @@ TEST(EventQueue, PastSchedulingThrows) {
 TEST(EventQueue, NullCallbackThrows) {
   EventQueue q;
   EXPECT_THROW(q.ScheduleAt(1, EventCallback{}), std::invalid_argument);
-}
-
-TEST(EventQueue, CancelPreventsFiring) {
-  EventQueue q;
-  bool fired = false;
-  const auto h = q.ScheduleAt(10, [&](Us) { fired = true; });
-  EXPECT_TRUE(q.Cancel(h));
-  q.RunToCompletion();
-  EXPECT_FALSE(fired);
-  EXPECT_FALSE(q.Cancel(h));  // already cancelled
-}
-
-TEST(EventQueue, CancelInvalidHandleReturnsFalse) {
-  EventQueue q;
-  EXPECT_FALSE(q.Cancel(0));
-  EXPECT_FALSE(q.Cancel(999));
 }
 
 TEST(EventQueue, RunUntilStopsAtDeadline) {
