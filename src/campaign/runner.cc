@@ -20,7 +20,6 @@
 #include "ssd/ssd.h"
 #include "trace/synthetic.h"
 #include "trace/trace.h"
-#include "util/config.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -32,14 +31,6 @@ namespace {
 double WallMs(std::chrono::steady_clock::time_point from,
               std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-std::uint64_t BytesOf(const Json& parent, const std::string& key,
-                      std::uint64_t fallback) {
-  const Json* v = parent.Get(key);
-  if (v == nullptr || v->IsNull()) return fallback;
-  if (v->IsNumber()) return v->AsUint();
-  return util::ParseByteSize(v->AsString());
 }
 
 using util::ParallelFor;

@@ -7,9 +7,6 @@
 
 namespace ctflash::campaign {
 
-namespace {
-
-/// Byte sizes may be JSON numbers or strings like "256MiB".
 std::uint64_t BytesOf(const Json& parent, const std::string& key,
                       std::uint64_t fallback) {
   const Json* v = parent.Get(key);
@@ -17,6 +14,8 @@ std::uint64_t BytesOf(const Json& parent, const std::string& key,
   if (v->IsNumber()) return v->AsUint();
   return util::ParseByteSize(v->AsString());
 }
+
+namespace {
 
 ssd::FtlKind ParseFtlKind(const std::string& s) {
   if (s == "conventional") return ssd::FtlKind::kConventional;
@@ -129,18 +128,7 @@ ArmSpec ResolveArm(const Json& merged, std::uint64_t index,
     if (const Json* h = o->Get("health"); h != nullptr && !h->IsNull()) {
       if (h->IsObject()) {
         arm.eval_health = true;
-        obs::HealthConfig& hc = arm.health;
-        hc.ewma_alpha = h->GetDoubleOr("ewma_alpha", hc.ewma_alpha);
-        hc.degraded_frac = h->GetDoubleOr("degraded_frac", hc.degraded_frac);
-        hc.spare_fail_frac =
-            h->GetDoubleOr("spare_fail_frac", hc.spare_fail_frac);
-        hc.wear_fail_frac = h->GetDoubleOr("wear_fail_frac", hc.wear_fail_frac);
-        hc.retry_fail_rate =
-            h->GetDoubleOr("retry_fail_rate", hc.retry_fail_rate);
-        hc.program_fail_rate =
-            h->GetDoubleOr("program_fail_rate", hc.program_fail_rate);
-        hc.gc_stall_fail_share =
-            h->GetDoubleOr("gc_stall_fail_share", hc.gc_stall_fail_share);
+        arm.health = obs::HealthConfig::FromJson(*h);
       } else {
         arm.eval_health = h->AsBool();
       }

@@ -130,6 +130,11 @@ struct DeviceSectionSpec {
 /// std::runtime_error naming the offending field.
 DeviceSectionSpec ResolveDeviceSection(const Json& merged);
 
+/// The byte size under `parent[key]`: a JSON number or a string like
+/// "256MiB"; `fallback` when the key is absent or null.
+std::uint64_t BytesOf(const Json& parent, const std::string& key,
+                      std::uint64_t fallback);
+
 /// RFC 7386-style merge: object fields of `patch` merge recursively into
 /// `base`, everything else replaces.  Null patch fields delete.
 Json MergePatch(const Json& base, const Json& patch);

@@ -4,20 +4,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/config.h"
-
 namespace ctflash::cluster {
 
 namespace {
-
-/// Byte sizes may be JSON numbers or strings like "64MiB".
-std::uint64_t BytesOf(const Json& parent, const std::string& key,
-                      std::uint64_t fallback) {
-  const Json* v = parent.Get(key);
-  if (v == nullptr || v->IsNull()) return fallback;
-  if (v->IsNumber()) return v->AsUint();
-  return util::ParseByteSize(v->AsString());
-}
 
 RebalancePolicy ParsePolicy(const std::string& s) {
   if (s == "on_failure") return RebalancePolicy::kOnFailure;
@@ -134,7 +123,7 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
   if (const Json* w = root.Get("workload"); w != nullptr) {
     spec.rate_iops = w->GetDoubleOr("rate_iops", 20'000.0);
     spec.read_fraction = w->GetDoubleOr("read_fraction", 0.9);
-    spec.request_bytes = BytesOf(*w, "request_bytes", 16 * kKiB);
+    spec.request_bytes = campaign::BytesOf(*w, "request_bytes", 16 * kKiB);
     spec.epochs = static_cast<std::uint32_t>(w->GetUintOr("epochs", 6));
     spec.epoch_us = static_cast<Us>(w->GetUintOr("epoch_us", 250'000));
     spec.timeout_us = static_cast<Us>(w->GetUintOr("timeout_us", 1'000'000));
@@ -142,7 +131,8 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
   if (const Json* r = root.Get("rebalance"); r != nullptr) {
     spec.policy = ParsePolicy(r->GetStringOr("policy", "on_failure"));
     spec.fail_on_lost_pages = r->GetUintOr("fail_on_lost_pages", 1);
-    spec.migration_chunk_bytes = BytesOf(*r, "migration_chunk", 64 * kKiB);
+    spec.migration_chunk_bytes =
+        campaign::BytesOf(*r, "migration_chunk", 64 * kKiB);
     spec.rebuild_epochs =
         static_cast<std::uint32_t>(r->GetUintOr("rebuild_epochs", 0));
     spec.rebuild_bytes_per_sec = r->GetDoubleOr("rebuild_bytes_per_sec", 0.0);
@@ -156,23 +146,10 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
     }
     if (const Json* sb = r->Get("shard_bytes");
         sb != nullptr && !(sb->IsString() && sb->AsString() == "auto")) {
-      spec.shard_bytes = BytesOf(*r, "shard_bytes", 0);
+      spec.shard_bytes = campaign::BytesOf(*r, "shard_bytes", 0);
     }
     if (const Json* h = r->Get("health"); h != nullptr && !h->IsNull()) {
-      spec.health.ewma_alpha =
-          h->GetDoubleOr("ewma_alpha", spec.health.ewma_alpha);
-      spec.health.degraded_frac =
-          h->GetDoubleOr("degraded_frac", spec.health.degraded_frac);
-      spec.health.spare_fail_frac =
-          h->GetDoubleOr("spare_fail_frac", spec.health.spare_fail_frac);
-      spec.health.wear_fail_frac =
-          h->GetDoubleOr("wear_fail_frac", spec.health.wear_fail_frac);
-      spec.health.retry_fail_rate =
-          h->GetDoubleOr("retry_fail_rate", spec.health.retry_fail_rate);
-      spec.health.program_fail_rate =
-          h->GetDoubleOr("program_fail_rate", spec.health.program_fail_rate);
-      spec.health.gc_stall_fail_share = h->GetDoubleOr(
-          "gc_stall_fail_share", spec.health.gc_stall_fail_share);
+      spec.health = obs::HealthConfig::FromJson(*h);
     }
     if (const Json* s = r->Get("slo"); s != nullptr && !s->IsNull()) {
       spec.slo.target_us =
@@ -319,14 +296,7 @@ Json ClusterSpec::ConfigSummary() const {
   summary["timeout_us"] = static_cast<std::uint64_t>(timeout_us);
   summary["policy"] = std::string(RebalancePolicyName(policy));
   if (policy == RebalancePolicy::kOnObserved) {
-    Json h;
-    h["ewma_alpha"] = health.ewma_alpha;
-    h["degraded_frac"] = health.degraded_frac;
-    h["spare_fail_frac"] = health.spare_fail_frac;
-    h["wear_fail_frac"] = health.wear_fail_frac;
-    h["retry_fail_rate"] = health.retry_fail_rate;
-    h["gc_stall_fail_share"] = health.gc_stall_fail_share;
-    summary["health"] = std::move(h);
+    summary["health"] = health.ToJson();
     if (slo.enabled()) {
       Json s;
       s["read_p99_target_us"] = static_cast<std::uint64_t>(slo.target_us);

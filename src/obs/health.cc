@@ -45,6 +45,32 @@ void HealthConfig::Validate() const {
   }
 }
 
+HealthConfig HealthConfig::FromJson(const campaign::Json& json) {
+  HealthConfig c;
+  c.ewma_alpha = json.GetDoubleOr("ewma_alpha", c.ewma_alpha);
+  c.degraded_frac = json.GetDoubleOr("degraded_frac", c.degraded_frac);
+  c.spare_fail_frac = json.GetDoubleOr("spare_fail_frac", c.spare_fail_frac);
+  c.wear_fail_frac = json.GetDoubleOr("wear_fail_frac", c.wear_fail_frac);
+  c.retry_fail_rate = json.GetDoubleOr("retry_fail_rate", c.retry_fail_rate);
+  c.program_fail_rate =
+      json.GetDoubleOr("program_fail_rate", c.program_fail_rate);
+  c.gc_stall_fail_share =
+      json.GetDoubleOr("gc_stall_fail_share", c.gc_stall_fail_share);
+  return c;
+}
+
+campaign::Json HealthConfig::ToJson() const {
+  campaign::Json out;
+  out["ewma_alpha"] = ewma_alpha;
+  out["degraded_frac"] = degraded_frac;
+  out["spare_fail_frac"] = spare_fail_frac;
+  out["wear_fail_frac"] = wear_fail_frac;
+  out["retry_fail_rate"] = retry_fail_rate;
+  out["program_fail_rate"] = program_fail_rate;
+  out["gc_stall_fail_share"] = gc_stall_fail_share;
+  return out;
+}
+
 double HealthSignals::Worst() const {
   return std::max(std::max(std::max(spare, wear), std::max(media, gc)),
                   program);

@@ -81,6 +81,14 @@ struct HealthConfig {
   double gc_stall_fail_share = 0.5;
 
   void Validate() const;
+
+  /// The defaults overridden by whichever of the seven threshold keys
+  /// (named as the fields above) `json` carries — the campaign's
+  /// `observability.health` and the cluster's `rebalance.health` object.
+  /// Does not validate.
+  static HealthConfig FromJson(const campaign::Json& json);
+  /// All seven thresholds under the same keys (config echoes).
+  campaign::Json ToJson() const;
 };
 
 /// Cumulative device counters, sampled once per window.  The collector

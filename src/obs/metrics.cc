@@ -1,46 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace ctflash::obs {
-
-double QuantileFromBins(const std::vector<std::uint64_t>& bins, double q) {
-  if (q < 0.0 || q > 1.0) {
-    throw std::invalid_argument("QuantileFromBins: q outside [0,1]");
-  }
-  using QE = util::QuantileEstimator;
-  std::uint64_t count = 0;
-  const int limit = static_cast<int>(
-      std::min<std::size_t>(bins.size(), static_cast<std::size_t>(QE::kBins)));
-  for (int b = 0; b < limit; ++b) count += bins[static_cast<std::size_t>(b)];
-  if (count == 0) return 0.0;
-  // Mirror QuantileEstimator::Quantile exactly: same target, same
-  // accumulation order, same interpolation arithmetic.
-  const double target = q * static_cast<double>(count);
-  double cum = 0.0;
-  for (int b = 0; b < limit; ++b) {
-    const double n = static_cast<double>(bins[static_cast<std::size_t>(b)]);
-    if (cum + n >= target && n > 0) {
-      const double lo = static_cast<double>(QE::BinLow(b));
-      const double hi = static_cast<double>(QE::BinHigh(b));
-      const double frac = (target - cum) / n;
-      return lo + frac * (hi - lo);
-    }
-    cum += n;
-  }
-  return static_cast<double>(QE::BinHigh(QE::kBins - 1));
-}
-
-BinQuantiles SummarizeBins(const std::vector<std::uint64_t>& bins) {
-  BinQuantiles out;
-  for (const std::uint64_t n : bins) out.count += n;
-  if (out.count == 0) return out;
-  out.p50_us = QuantileFromBins(bins, 0.50);
-  out.p99_us = QuantileFromBins(bins, 0.99);
-  out.p999_us = QuantileFromBins(bins, 0.999);
-  return out;
-}
 
 void MetricsRegistry::AddCounter(const std::string& name,
                                  std::uint64_t delta) {
@@ -63,13 +25,6 @@ std::uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
 double MetricsRegistry::GaugeValue(const std::string& name) const {
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;
-}
-
-BinQuantiles MetricsRegistry::HistogramQuantiles(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  if (it == histograms_.end()) return BinQuantiles{};
-  return SummarizeBins(it->second.quantiles().bins());
 }
 
 void MetricsRegistry::Merge(const MetricsRegistry& other) {

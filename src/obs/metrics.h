@@ -23,32 +23,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "campaign/json.h"
 #include "util/stats.h"
 
 namespace ctflash::obs {
-
-/// Tail summary extracted from raw QuantileEstimator bins.
-struct BinQuantiles {
-  std::uint64_t count = 0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-};
-
-/// Quantile of a raw bin-count vector laid out like
-/// util::QuantileEstimator::bins() — the EXACT same walk the estimator
-/// runs, so a quantile computed from copied (or windowed-delta) bins agrees
-/// bit-for-bit with QuantileEstimator::Quantile on the same stream.  The
-/// health/SLO monitors window cumulative histograms by bin subtraction and
-/// still need estimator-identical answers.  Throws std::invalid_argument
-/// for q outside [0,1]; returns 0.0 for empty bins.
-double QuantileFromBins(const std::vector<std::uint64_t>& bins, double q);
-
-/// p50/p99/p99.9 (plus the sample count) from raw bins in one walk setup.
-BinQuantiles SummarizeBins(const std::vector<std::uint64_t>& bins);
 
 class MetricsRegistry {
  public:
@@ -61,9 +40,6 @@ class MetricsRegistry {
 
   std::uint64_t CounterValue(const std::string& name) const;
   double GaugeValue(const std::string& name) const;
-  /// p50/p99/p99.9 of histogram `name` via the shared bin walk (all zero
-  /// for an unknown name).
-  BinQuantiles HistogramQuantiles(const std::string& name) const;
 
   const std::map<std::string, std::uint64_t>& counters() const {
     return counters_;

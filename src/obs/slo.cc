@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-
 namespace ctflash::obs {
 
 void SloConfig::Validate() const {
@@ -24,29 +22,12 @@ SloMonitor::SloMonitor(const SloConfig& config) : config_(config) {
 }
 
 void SloMonitor::ObserveWindow(const util::QuantileEstimator& window) {
-  Judge(window.bins());
-}
-
-void SloMonitor::ObserveCumulative(const util::QuantileEstimator& cumulative) {
-  const std::vector<std::uint64_t>& bins = cumulative.bins();
-  if (prev_bins_.empty()) prev_bins_.assign(bins.size(), 0);
-  std::vector<std::uint64_t> delta(bins.size());
-  for (std::size_t i = 0; i < bins.size(); ++i) {
-    delta[i] = bins[i] - prev_bins_[i];
-  }
-  prev_bins_ = bins;
-  Judge(delta);
-}
-
-void SloMonitor::Judge(const std::vector<std::uint64_t>& window_bins) {
-  std::uint64_t count = 0;
-  for (const std::uint64_t n : window_bins) count += n;
-  last_quantile_us_ =
-      count == 0 ? 0.0 : QuantileFromBins(window_bins, config_.quantile);
+  last_quantile_us_ = window.Quantile(config_.quantile);
   quantile_series_.push_back(last_quantile_us_);
   // Low-sample windows never judge: they contribute "no breach" to the
   // burn rate, the conservative reading of an idle window.
-  const bool breach = config_.enabled() && count >= config_.min_samples &&
+  const bool breach = config_.enabled() &&
+                      window.count() >= config_.min_samples &&
                       last_quantile_us_ >
                           static_cast<double>(config_.target_us);
   breach_log_.push_back(breach);

@@ -2,17 +2,15 @@
 // target, with burn-rate-style breach detection.
 //
 // One monitor watches one latency stream (a device's reads, a tenant's
-// requests).  Each window it receives either that window's own
-// QuantileEstimator or the stream's CUMULATIVE estimator — in the latter
-// case it subtracts the previous window's bin snapshot and quantiles the
-// delta through obs::QuantileFromBins, which reproduces the estimator's
-// own walk exactly.  A window breaches when its tail quantile exceeds
-// `target_us` (windows with fewer than `min_samples` samples never judge —
-// a two-request window has no p99).  The alert is burn-rate style: the
-// breach fraction over the trailing `burn_windows` windows crossing
-// `burn_threshold` trips it, so one noisy window does not page and a
-// sustained burn does — exactly the error-budget framing SRE burn alerts
-// use, discretized onto the simulation's deterministic epoch grid.
+// requests).  Each window it receives that window's own QuantileEstimator
+// (the cluster feeds per-epoch histograms).  A window breaches when its
+// tail quantile exceeds `target_us` (windows with fewer than `min_samples`
+// samples never judge — a two-request window has no p99).  The alert is
+// burn-rate style: the breach fraction over the trailing `burn_windows`
+// windows crossing `burn_threshold` trips it, so one noisy window does not
+// page and a sustained burn does — exactly the error-budget framing SRE
+// burn alerts use, discretized onto the simulation's deterministic epoch
+// grid.
 //
 // Deterministic across worker counts: the monitor only ever sees merged
 // per-device histograms from the serial director phase.
@@ -43,9 +41,6 @@ class SloMonitor {
 
   /// Feeds one window's own histogram.
   void ObserveWindow(const util::QuantileEstimator& window);
-  /// Feeds the stream's cumulative histogram; the monitor windows it by
-  /// bin subtraction against the previous call's snapshot.
-  void ObserveCumulative(const util::QuantileEstimator& cumulative);
 
   std::uint64_t windows() const { return windows_; }
   std::uint64_t breaches() const { return breaches_; }
@@ -69,15 +64,12 @@ class SloMonitor {
   campaign::Json ToJson() const;
 
  private:
-  void Judge(const std::vector<std::uint64_t>& window_bins);
-
   SloConfig config_;
   std::uint64_t windows_ = 0;
   std::uint64_t breaches_ = 0;
   double last_quantile_us_ = 0.0;
   std::vector<bool> breach_log_;       ///< one flag per window
   std::vector<double> quantile_series_;
-  std::vector<std::uint64_t> prev_bins_;  ///< cumulative-mode snapshot
 };
 
 }  // namespace ctflash::obs

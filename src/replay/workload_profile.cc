@@ -43,11 +43,9 @@ void WorkloadProfiler::Add(const trace::TraceRecord& record) {
   if (is_read) {
     profile_.reads++;
     profile_.read_bytes += record.size_bytes;
-    profile_.read_size_hist.Add(record.size_bytes);
   } else {
     profile_.writes++;
     profile_.write_bytes += record.size_bytes;
-    profile_.write_size_hist.Add(record.size_bytes);
   }
   if (size_counts.size() < config_.max_distinct_sizes ||
       size_counts.count(record.size_bytes) > 0) {

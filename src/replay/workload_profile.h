@@ -64,10 +64,8 @@ struct WorkloadProfile {
                                   static_cast<double>(duration_us);
   }
 
-  // Request sizes: log2 histograms always; exact counts for the most
-  // common sizes (capped at config.max_distinct_sizes).
-  util::LogHistogram read_size_hist;
-  util::LogHistogram write_size_hist;
+  // Request sizes: exact counts for the most common sizes (capped at
+  // config.max_distinct_sizes).
   std::unordered_map<std::uint64_t, std::uint64_t> read_size_counts;
   std::unordered_map<std::uint64_t, std::uint64_t> write_size_counts;
 

@@ -50,46 +50,6 @@ double RunningMoments::variance() const {
 
 double RunningMoments::stddev() const { return std::sqrt(variance()); }
 
-namespace {
-int BucketOf(std::uint64_t value) {
-  if (value == 0) return 0;
-  return std::bit_width(value) - 1;
-}
-}  // namespace
-
-void LogHistogram::Add(std::uint64_t value) {
-  buckets_[static_cast<std::size_t>(BucketOf(value))]++;
-  ++count_;
-}
-
-void LogHistogram::Merge(const LogHistogram& other) {
-  for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-}
-
-void LogHistogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-}
-
-double LogHistogram::Quantile(double q) const {
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("Quantile: q outside [0,1]");
-  if (count_ == 0) return 0.0;
-  const double target = q * static_cast<double>(count_);
-  double cum = 0.0;
-  for (int b = 0; b < kBuckets; ++b) {
-    const double n = static_cast<double>(buckets_[b]);
-    if (cum + n >= target && n > 0) {
-      const double lo = b == 0 ? 0.0 : std::ldexp(1.0, b);
-      const double hi = std::ldexp(1.0, b + 1);
-      const double frac = n == 0.0 ? 0.0 : (target - cum) / n;
-      return lo + frac * (hi - lo);
-    }
-    cum += n;
-  }
-  return std::ldexp(1.0, kBuckets);  // unreachable in practice
-}
-
 int QuantileEstimator::BinOf(std::uint64_t value) {
   if (value < kSubBins) return static_cast<int>(value);
   const int octave = std::bit_width(value) - 1;  // >= kSubBits

@@ -38,34 +38,13 @@ class RunningMoments {
   double max_ = 0.0;
 };
 
-/// Log2-bucketed histogram over non-negative integer samples (e.g. latency
-/// in microseconds).  Bucket b holds samples in [2^b, 2^(b+1)); bucket 0 also
-/// holds 0.  Percentile estimates interpolate linearly inside a bucket.
-class LogHistogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void Add(std::uint64_t value);
-  void Merge(const LogHistogram& other);
-  void Reset();
-
-  std::uint64_t count() const { return count_; }
-  /// Estimated value at quantile q in [0,1].
-  double Quantile(double q) const;
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-
- private:
-  std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(kBuckets, 0);
-  std::uint64_t count_ = 0;
-};
-
 /// Streaming quantile estimator over non-negative integer samples: a
 /// fixed-size log-scaled histogram where every power-of-two octave is split
 /// into kSubBins linear sub-bins (HdrHistogram-style), bounding the
 /// relative quantile error at 1/kSubBins (~6 %) regardless of sample count
 /// or range.  O(1) insert, O(bins) quantile, mergeable — built for
-/// tail-latency extraction (p99.9 of millions of requests) where the plain
-/// power-of-two LogHistogram above is too coarse.
+/// tail-latency extraction (p99.9 of millions of requests), where a plain
+/// power-of-two histogram is too coarse.
 class QuantileEstimator {
  public:
   static constexpr int kSubBits = 4;             ///< log2(sub-bins per octave)

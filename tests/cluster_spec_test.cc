@@ -224,5 +224,23 @@ TEST(ClusterSpec, ConfigSummaryEchoesTheScenario) {
   EXPECT_EQ(summary.Dump(), spec.ConfigSummary().Dump());
 }
 
+TEST(ClusterSpec, ConfigSummaryEchoesEveryHealthThreshold) {
+  // The program-verify threshold is what triggers the on_observed drain
+  // on a wear ramp, so two specs differing only there must echo apart.
+  const auto observed = [](const char* program_fail_rate) {
+    return ClusterSpec::Parse(
+        std::string(R"({"rebalance": {"policy": "on_observed",
+                                      "health": {"program_fail_rate": )") +
+        program_fail_rate + "}}}");
+  };
+  const Json a = observed("0.025").ConfigSummary();
+  const Json b = observed("0.05").ConfigSummary();
+  EXPECT_NE(a.Dump(), b.Dump());
+  ASSERT_NE(a.Get("health"), nullptr);
+  EXPECT_DOUBLE_EQ(a.Get("health")->GetDoubleOr("program_fail_rate", 0.0),
+                   0.025);
+  EXPECT_EQ(a.Get("health")->AsObject().size(), 7u);
+}
+
 }  // namespace
 }  // namespace ctflash::cluster

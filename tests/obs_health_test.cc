@@ -8,10 +8,6 @@
 //   * the program-verify signal fires on the FIRST sick window, before
 //     any spare-pool burn — the early-warning path the on_observed
 //     policy drains on;
-//   * QuantileFromBins / MetricsRegistry::HistogramQuantiles agree with
-//     util::QuantileEstimator::Quantile EXACTLY (bit-for-bit) on random
-//     streams, including windowed bin deltas — the SLO monitor's
-//     windowing depends on that identity;
 //   * the scheduler observer seam: every attached observer sees the
 //     identical DispatchContext stream, and detaching while transactions
 //     are in flight stops events cleanly without disturbing the run.
@@ -25,7 +21,6 @@
 
 #include "host/host_interface.h"
 #include "host/load_generator.h"
-#include "obs/metrics.h"
 #include "obs/slo.h"
 #include "sched/observer.h"
 #include "ssd/experiment.h"
@@ -249,111 +244,6 @@ TEST(SloMonitor, DisabledTargetJudgesNothing) {
   mon.ObserveWindow(WindowOf({1000000, 2000000, 3000000, 4000000}));
   EXPECT_EQ(mon.breaches(), 0u);
   EXPECT_FALSE(mon.alerting());
-}
-
-TEST(SloMonitor, CumulativeWindowingMatchesPerWindowFeeds) {
-  // Feeding the stream's cumulative estimator must be indistinguishable
-  // from feeding each window's own histogram: same quantiles, same
-  // breach log, window by window.
-  SloConfig sc;
-  sc.target_us = 700;
-  sc.min_samples = 2;
-  SloMonitor windowed(sc);
-  SloMonitor cumulative(sc);
-
-  util::QuantileEstimator running;
-  std::uint64_t x = 12345;
-  for (int w = 0; w < 8; ++w) {
-    util::QuantileEstimator window;
-    for (int i = 0; i < 200; ++i) {
-      x = x * 6364136223846793005ull + 1442695040888963407ull;
-      const std::uint64_t v = (x >> 33) % (w < 4 ? 600 : 3000);
-      window.Add(v);
-      running.Add(v);
-    }
-    windowed.ObserveWindow(window);
-    cumulative.ObserveCumulative(running);
-    ASSERT_DOUBLE_EQ(cumulative.last_quantile_us(),
-                     windowed.last_quantile_us())
-        << "windowed-delta quantile diverged at window " << w;
-    ASSERT_EQ(cumulative.last_window_breached(),
-              windowed.last_window_breached());
-  }
-  EXPECT_EQ(cumulative.breaches(), windowed.breaches());
-  EXPECT_GT(cumulative.breaches(), 0u);
-  EXPECT_DOUBLE_EQ(cumulative.burn_rate(), windowed.burn_rate());
-}
-
-// --- Quantile extraction: exact agreement with the estimator ---------------
-
-TEST(ObsQuantiles, QuantileFromBinsMatchesEstimatorExactly) {
-  // Property: for ANY stream and ANY q, quantiling the estimator's raw
-  // bins reproduces QuantileEstimator::Quantile bit-for-bit.  Random
-  // streams spanning many octaves, deterministic LCG seed.
-  std::uint64_t x = 9876543210123ull;
-  for (int round = 0; round < 5; ++round) {
-    util::QuantileEstimator est;
-    const int n = 100 + round * 777;
-    for (int i = 0; i < n; ++i) {
-      x = x * 6364136223846793005ull + 1442695040888963407ull;
-      // Log-uniform-ish spread: shift by a pseudo-random octave so the
-      // stream crosses sub-bin boundaries in every range.
-      est.Add((x >> 40) << (x % 24));
-    }
-    for (const double q :
-         {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-      ASSERT_DOUBLE_EQ(QuantileFromBins(est.bins(), q), est.Quantile(q))
-          << "round " << round << " q " << q;
-    }
-  }
-  EXPECT_THROW(QuantileFromBins({1, 2, 3}, 1.5), std::invalid_argument);
-  EXPECT_DOUBLE_EQ(QuantileFromBins({}, 0.5), 0.0);
-}
-
-TEST(ObsQuantiles, HistogramQuantilesMatchesEstimatorExactly) {
-  MetricsRegistry reg;
-  util::QuantileEstimator shadow;
-  std::uint64_t x = 55555;
-  for (int i = 0; i < 4000; ++i) {
-    x = x * 2862933555777941757ull + 3037000493ull;
-    const std::uint64_t v = (x >> 35) % 1'000'000;
-    reg.Histogram("host.read.latency").Add(v);
-    shadow.Add(v);
-  }
-  const BinQuantiles bq = reg.HistogramQuantiles("host.read.latency");
-  EXPECT_EQ(bq.count, shadow.count());
-  EXPECT_DOUBLE_EQ(bq.p50_us, shadow.Quantile(0.50));
-  EXPECT_DOUBLE_EQ(bq.p99_us, shadow.Quantile(0.99));
-  EXPECT_DOUBLE_EQ(bq.p999_us, shadow.Quantile(0.999));
-
-  const BinQuantiles missing = reg.HistogramQuantiles("no.such.histogram");
-  EXPECT_EQ(missing.count, 0u);
-  EXPECT_DOUBLE_EQ(missing.p99_us, 0.0);
-}
-
-TEST(ObsQuantiles, WindowedBinDeltaMatchesAFreshEstimator) {
-  // The SLO monitor windows a cumulative stream by bin subtraction; the
-  // delta's quantiles must equal those of an estimator fed ONLY the
-  // window's samples.
-  util::QuantileEstimator cumulative;
-  std::uint64_t x = 424242;
-  for (int i = 0; i < 1000; ++i) {  // epoch 1
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    cumulative.Add((x >> 33) % 5000);
-  }
-  const std::vector<std::uint64_t> snap = cumulative.bins();
-  util::QuantileEstimator window_only;
-  for (int i = 0; i < 1500; ++i) {  // epoch 2
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t v = (x >> 33) % 90000;
-    cumulative.Add(v);
-    window_only.Add(v);
-  }
-  std::vector<std::uint64_t> delta = cumulative.bins();
-  for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= snap[i];
-  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-    EXPECT_DOUBLE_EQ(QuantileFromBins(delta, q), window_only.Quantile(q));
-  }
 }
 
 // --- Scheduler observer seam ----------------------------------------------
