@@ -70,7 +70,7 @@ void BM_MappingTableUpdate(benchmark::State& state) {
 BENCHMARK(BM_MappingTableUpdate);
 
 void BM_TwoLevelLruWrite(benchmark::State& state) {
-  core::TwoLevelLru lru(8192, 4096);
+  core::TwoLevelLru lru(8192, 4096, /*lpn_bound=*/1 << 16);
   util::Xoshiro256StarStar rng(4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(lru.OnWrite(rng.UniformBelow(1 << 16)));
@@ -79,7 +79,7 @@ void BM_TwoLevelLruWrite(benchmark::State& state) {
 BENCHMARK(BM_TwoLevelLruWrite);
 
 void BM_TwoLevelLruReadPromote(benchmark::State& state) {
-  core::TwoLevelLru lru(8192, 4096);
+  core::TwoLevelLru lru(8192, 4096, /*lpn_bound=*/8192);
   util::Xoshiro256StarStar rng(5);
   for (Lpn l = 0; l < 8192; ++l) lru.OnWrite(l);
   for (auto _ : state) {
@@ -89,7 +89,7 @@ void BM_TwoLevelLruReadPromote(benchmark::State& state) {
 BENCHMARK(BM_TwoLevelLruReadPromote);
 
 void BM_FreqTableOnRead(benchmark::State& state) {
-  core::AccessFrequencyTable table(2, 1 << 15);
+  core::AccessFrequencyTable table(2, 1 << 15, /*lpn_bound=*/1 << 16);
   util::Xoshiro256StarStar rng(6);
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.OnRead(rng.UniformBelow(1 << 16)));

@@ -189,6 +189,29 @@ const char* WorkloadName(Workload w) {
   return w == Workload::kMediaServer ? "Media Server" : "Web SQL";
 }
 
+namespace {
+
+/// The generated trace for `wl`, kept until a different config (compared
+/// field by field) is asked for.  Both FTLs of a comparison, and every
+/// speed ratio at one page size, replay the same trace, and bench_paper
+/// runs those back to back, so each trace is generated once per process
+/// while at most one is held in memory.  Single-threaded, like the benches;
+/// the reference is valid until the next call.
+const std::vector<trace::TraceRecord>& SyntheticTrace(
+    const trace::SyntheticWorkloadConfig& wl) {
+  static std::optional<trace::SyntheticWorkloadConfig> cached_config;
+  static std::vector<trace::TraceRecord> cached;
+  if (cached_config != wl) {
+    cached_config.reset();
+    cached = std::vector<trace::TraceRecord>();  // free it before the next
+    cached = trace::SyntheticTraceGenerator(wl).Generate();
+    cached_config = wl;
+  }
+  return cached;
+}
+
+}  // namespace
+
 ssd::ExperimentResult RunOne(ssd::FtlKind kind, Workload workload,
                              std::uint32_t page_size_bytes, double speed_ratio,
                              const BenchOptions& options,
@@ -210,8 +233,7 @@ ssd::ExperimentResult RunOne(ssd::FtlKind kind, Workload workload,
                                                    options.media_requests)
                       : trace::WebServerWorkload(footprint,
                                                  options.web_requests);
-  const auto records = trace::SyntheticTraceGenerator(wl).Generate();
-  return ssd::RunExperiment(cfg, records, footprint, wl.name);
+  return ssd::RunExperiment(cfg, SyntheticTrace(wl), footprint, wl.name);
 }
 
 ComparisonResult RunComparison(

@@ -1,88 +1,66 @@
 #include "core/access_frequency_table.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace ctflash::core {
 
 AccessFrequencyTable::AccessFrequencyTable(std::uint32_t promote_threshold,
-                                           std::size_t capacity)
+                                           std::size_t capacity,
+                                           std::uint64_t lpn_bound)
     : promote_threshold_(promote_threshold), capacity_(capacity) {
-  if (promote_threshold == 0) {
+  if (promote_threshold == 0 || capacity == 0 || lpn_bound >> 32 != 0) {
     throw std::invalid_argument(
-        "AccessFrequencyTable: promote_threshold must be > 0");
+        "AccessFrequencyTable: promote_threshold and capacity must be > 0 "
+        "and lpn_bound below 2^32");
   }
-  if (capacity == 0) {
-    throw std::invalid_argument("AccessFrequencyTable: capacity must be > 0");
-  }
+  freq_.resize(lpn_bound, 0);
+  tracked_.resize(lpn_bound, 0);
 }
 
 void AccessFrequencyTable::MaybeDecay() {
-  if (freq_.size() < capacity_) return;
+  if (size_ < capacity_) return;
   ++decays_;
-  for (auto it = freq_.begin(); it != freq_.end();) {
-    it->second /= 2;
-    if (it->second == 0) {
-      it = freq_.erase(it);
-    } else {
-      ++it;
-    }
+  for (std::size_t lpn = 0; lpn < freq_.size(); ++lpn) {
+    freq_[lpn] /= 2;
+    if (freq_[lpn] == 0) Erase(lpn);
   }
   // Pathological case: every entry still above zero after halving.  Drop
-  // enough entries to make room; which ones go is unspecified (they are all
-  // popular) but deterministic within a run.
-  while (freq_.size() >= capacity_) freq_.erase(freq_.begin());
-}
-
-void AccessFrequencyTable::OnWrite(Lpn lpn) {
-  const auto it = freq_.find(lpn);
-  if (it != freq_.end()) {
-    it->second = 0;
-    return;
-  }
-  MaybeDecay();
-  freq_.emplace(lpn, 0);
+  // the lowest lpns until there is room (they are all popular).
+  for (Lpn lpn = 0; size_ >= capacity_; ++lpn) Erase(lpn);
 }
 
 void AccessFrequencyTable::Register(Lpn lpn, std::uint32_t initial_frequency) {
-  const auto it = freq_.find(lpn);
-  if (it != freq_.end()) {
-    it->second = initial_frequency;
-    return;
+  if (tracked_[lpn] == 0) {
+    MaybeDecay();
+    tracked_[lpn] = 1;
+    ++size_;
   }
-  MaybeDecay();
-  freq_.emplace(lpn, initial_frequency);
+  freq_[lpn] = initial_frequency;
 }
 
 std::uint32_t AccessFrequencyTable::OnRead(Lpn lpn) {
-  const auto it = freq_.find(lpn);
-  if (it != freq_.end()) {
-    if (it->second < ~0u) ++it->second;
-    return it->second;
-  }
-  MaybeDecay();
-  freq_.emplace(lpn, 1);
-  return 1;
+  // An untracked page counts 0, so its first read registers it at 1.
+  const std::uint32_t count = freq_[lpn];
+  Register(lpn, count == ~0u ? count : count + 1);
+  return freq_[lpn];
 }
 
-std::uint32_t AccessFrequencyTable::FrequencyOf(Lpn lpn) const {
-  const auto it = freq_.find(lpn);
-  return it == freq_.end() ? 0 : it->second;
+void AccessFrequencyTable::Erase(Lpn lpn) {
+  if (tracked_[lpn] == 0) return;
+  tracked_[lpn] = 0;
+  freq_[lpn] = 0;
+  --size_;
 }
-
-void AccessFrequencyTable::Erase(Lpn lpn) { freq_.erase(lpn); }
 
 void AccessFrequencyTable::SaveState(util::StateWriter& w) const {
   w.Tag("FREQ");
-  std::vector<std::pair<Lpn, std::uint32_t>> entries(freq_.begin(), freq_.end());
-  std::sort(entries.begin(), entries.end());
-  w.PutU64(entries.size());
-  for (const auto& [lpn, count] : entries) {
+  w.PutU64(size_);
+  for (Lpn lpn = 0; lpn < freq_.size(); ++lpn) {
+    if (tracked_[lpn] == 0) continue;
     w.PutU64(lpn);
-    w.PutU32(count);
+    w.PutU32(freq_[lpn]);
   }
   w.PutU64(decays_);
 }
@@ -90,12 +68,24 @@ void AccessFrequencyTable::SaveState(util::StateWriter& w) const {
 void AccessFrequencyTable::LoadState(util::StateReader& r) {
   r.ExpectTag("FREQ");
   const std::uint64_t n = r.GetCount();
-  freq_.clear();
+  if (n > capacity_) {
+    throw std::runtime_error("snapshot: frequency table over capacity (" +
+                             std::to_string(n) + " entries)");
+  }
+  AccessFrequencyTable loaded(promote_threshold_, capacity_, freq_.size());
   for (std::uint64_t i = 0; i < n; ++i) {
     const Lpn lpn = r.GetU64();
-    freq_[lpn] = r.GetU32();
+    const bool in_range = lpn < freq_.size();
+    if (!in_range || loaded.Contains(lpn)) {
+      throw std::runtime_error("snapshot: frequency lpn " + std::to_string(lpn) +
+                               (in_range ? " listed twice" : " out of range"));
+    }
+    loaded.tracked_[lpn] = 1;
+    loaded.freq_[lpn] = r.GetU32();
+    ++loaded.size_;
   }
-  decays_ = r.GetU64();
+  loaded.decays_ = r.GetU64();
+  *this = std::move(loaded);
 }
 
 }  // namespace ctflash::core

@@ -58,9 +58,11 @@ PpbFtl::PpbFtl(ftl::FlashTarget& target, const ftl::FtlConfig& ftl_config,
                OpenBlockCap(target.geometry().TotalBlocks(), logical_pages_,
                             target.geometry().pages_per_block, ftl_config)}),
       lru_(AutoSize(ppb_config.hot_lru_capacity, logical_pages_, 0.08),
-           AutoSize(ppb_config.iron_lru_capacity, logical_pages_, 0.04)),
+           AutoSize(ppb_config.iron_lru_capacity, logical_pages_, 0.04),
+           logical_pages_),
       freq_(ppb_config.cold_promote_threshold,
-            AutoSize(ppb_config.freq_table_capacity, logical_pages_, 0.25)),
+            AutoSize(ppb_config.freq_table_capacity, logical_pages_, 0.25),
+            logical_pages_),
       classifier_(std::move(classifier)),
       ppb_config_(ppb_config) {
   ppb_config_.Validate();
@@ -78,7 +80,11 @@ PpbFtl::PpbFtl(ftl::FlashTarget& target, const ftl::FtlConfig& ftl_config,
 }
 
 HotnessLevel PpbFtl::LevelOf(Lpn lpn) const {
-  switch (lru_.TierOf(lpn)) {
+  return LevelOf(lpn, lru_.TierOf(lpn));
+}
+
+HotnessLevel PpbFtl::LevelOf(Lpn lpn, TwoLevelLru::Tier tier) const {
+  switch (tier) {
     case TwoLevelLru::Tier::kIronHot:
       return HotnessLevel::kIronHot;
     case TwoLevelLru::Tier::kHot:
@@ -268,7 +274,8 @@ Us PpbFtl::DoRead(Lpn lpn_first, std::uint32_t pages,
     } else {
       ppb_stats_.slow_reads++;
     }
-    const auto level_idx = static_cast<std::size_t>(LevelOf(lpn));
+    const TwoLevelLru::Tier tier = lru_.TierOf(lpn);
+    const auto level_idx = static_cast<std::size_t>(LevelOf(lpn, tier));
     ppb_stats_.reads_at_level[level_idx]++;
     ppb_stats_.read_factor_sum[level_idx] +=
         target_.latency_model().SpeedFactor(page_in_block);
@@ -278,10 +285,9 @@ Us PpbFtl::DoRead(Lpn lpn_first, std::uint32_t pages,
     if (rr.done > completion) completion = rr.done;
 
     // Progressive bookkeeping (no physical movement here).
-    const auto tier_before = lru_.TierOf(lpn);
-    if (tier_before != TwoLevelLru::Tier::kNone) {
+    if (tier != TwoLevelLru::Tier::kNone) {
       const auto out = lru_.OnRead(lpn);
-      if (tier_before == TwoLevelLru::Tier::kHot) ppb_stats_.iron_promotions++;
+      if (tier == TwoLevelLru::Tier::kHot) ppb_stats_.iron_promotions++;
       if (out.demoted_to_cold) {
         freq_.OnWrite(*out.demoted_to_cold);
         ppb_stats_.cold_demotions++;
@@ -296,6 +302,22 @@ Us PpbFtl::DoRead(Lpn lpn_first, std::uint32_t pages,
 bool PpbFtl::CheckInvariants() const {
   if (!map_.CheckConsistent()) return false;
   if (!vbm_.CheckInvariants()) return false;
+  if (!lru_.CheckInvariants()) return false;
+  // The frequency table's live count matches its tracked pages and stays
+  // within capacity, untracked pages count 0, and no page is tracked by
+  // both the hot and the cold area.
+  std::uint64_t cold_tracked = 0;
+  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
+    if (!freq_.Contains(lpn)) {
+      if (freq_.FrequencyOf(lpn) != 0) return false;
+      continue;
+    }
+    if (lru_.Contains(lpn)) return false;
+    ++cold_tracked;
+  }
+  if (cold_tracked != freq_.Size() || cold_tracked > freq_.capacity()) {
+    return false;
+  }
   const auto& geo = target_.geometry();
   std::vector<std::uint32_t> valid(geo.TotalBlocks(), 0);
   for (Lpn lpn = 0; lpn < map_.logical_pages(); ++lpn) {

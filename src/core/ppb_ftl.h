@@ -118,7 +118,8 @@ class PpbFtl : public ftl::FtlBase {
     return 4ull * config().write_frontiers + 1;
   }
 
-  /// Deep structural check across mapping, block accounting and VB lists.
+  /// Deep structural check across mapping, block accounting, VB lists and
+  /// both hotness tables (no page tracked by both areas).
   bool CheckInvariants() const;
 
  protected:
@@ -152,6 +153,9 @@ class PpbFtl : public ftl::FtlBase {
   };
   ProgramOutcome ProgramWithRetry(Ppn ppn, Area area, HotnessLevel level,
                                   bool gc_stream, Us earliest);
+
+  /// LevelOf for a page whose hot-area tier the caller already read.
+  HotnessLevel LevelOf(Lpn lpn, TwoLevelLru::Tier tier) const;
 
   /// Metadata updates for a host write; returns the placement level.
   HotnessLevel ClassifyWrite(Lpn lpn, std::uint64_t request_bytes);

@@ -9,12 +9,14 @@
 //
 // At most one entry can cascade out of the structure per operation, so every
 // mutator returns an optional demoted LPN instead of a vector.
+//
+// Both recency lists are intrusive over arrays indexed by LPN (32-bit links,
+// a 1-byte tier per page).  Operations take lpn < lpn_bound unchecked.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "util/serial.h"
 #include "util/types.h"
@@ -25,10 +27,11 @@ class TwoLevelLru {
  public:
   enum class Tier : std::uint8_t { kNone = 0, kHot = 1, kIronHot = 2 };
 
-  /// Capacities are entry counts (> 0).
-  TwoLevelLru(std::size_t hot_capacity, std::size_t iron_capacity);
+  /// Capacities are entry counts (> 0); lpn_bound must be below 2^32.
+  TwoLevelLru(std::size_t hot_capacity, std::size_t iron_capacity,
+              std::uint64_t lpn_bound);
 
-  Tier TierOf(Lpn lpn) const;
+  Tier TierOf(Lpn lpn) const { return tier_[lpn]; }
   bool Contains(Lpn lpn) const { return TierOf(lpn) != Tier::kNone; }
 
   struct Outcome {
@@ -52,39 +55,46 @@ class TwoLevelLru {
   /// trimmed).  No-op when absent.
   void Erase(Lpn lpn);
 
-  std::size_t HotSize() const { return hot_.size(); }
-  std::size_t IronSize() const { return iron_.size(); }
-  std::size_t hot_capacity() const { return hot_capacity_; }
-  std::size_t iron_capacity() const { return iron_capacity_; }
+  std::size_t HotSize() const { return lists_[0].size; }
+  std::size_t IronSize() const { return lists_[1].size; }
+  std::size_t hot_capacity() const { return lists_[0].capacity; }
+  std::size_t iron_capacity() const { return lists_[1].capacity; }
 
   /// Least-recently-used entries (tails), for tests.
-  std::optional<Lpn> HotTail() const;
-  std::optional<Lpn> IronTail() const;
+  std::optional<Lpn> HotTail() const { return Tail(lists_[0]); }
+  std::optional<Lpn> IronTail() const { return Tail(lists_[1]); }
 
-  /// O(n) structural check: map entries and list nodes agree, sizes within
-  /// capacity.
+  /// O(lpn_bound) check: links, tiers and sizes agree, within capacity.
   bool CheckInvariants() const;
 
-  /// Serializes both recency lists in MRU->LRU order; the index is rebuilt
-  /// on load.  LoadState throws when a list exceeds this instance's capacity.
+  /// Serializes both recency lists in MRU->LRU order.  LoadState throws,
+  /// leaving this instance as it was, on a list over capacity or an lpn out
+  /// of range or listed twice.
   void SaveState(util::StateWriter& w) const;
   void LoadState(util::StateReader& r);
 
  private:
-  struct Node {
-    std::list<Lpn>::iterator it;
-    Tier tier;
+  static constexpr std::uint32_t kNil = ~0u;
+
+  struct Link {
+    std::uint32_t prev = kNil, next = kNil;  // towards the head (MRU) / tail
+  };
+  struct List {
+    std::uint32_t head = kNil, tail = kNil;
+    std::size_t size = 0, capacity = 0;
   };
 
-  /// Inserts at the head of `tier`'s list, cascading demotions.
-  std::optional<Lpn> InsertHead(Lpn lpn, Tier tier);
-  void Detach(Lpn lpn);
+  static std::optional<Lpn> Tail(const List& list) {
+    return list.tail == kNil ? std::nullopt : std::optional<Lpn>(list.tail);
+  }
+  List& ListOf(Tier tier) { return lists_[tier == Tier::kIronHot ? 1 : 0]; }
 
-  std::size_t hot_capacity_;
-  std::size_t iron_capacity_;
-  std::list<Lpn> hot_;   // front = MRU
-  std::list<Lpn> iron_;  // front = MRU
-  std::unordered_map<Lpn, Node> index_;
+  /// Inserts an untracked lpn at `tier`'s head, cascading demotions.
+  std::optional<Lpn> InsertHead(Lpn lpn, Tier tier);
+
+  List lists_[2];  // [0] hot, [1] iron-hot
+  std::vector<Link> links_;
+  std::vector<Tier> tier_;
 };
 
 }  // namespace ctflash::core

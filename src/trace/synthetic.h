@@ -32,6 +32,8 @@ namespace ctflash::trace {
 struct SizeWeight {
   std::uint64_t bytes = 4096;
   double weight = 1.0;
+
+  bool operator==(const SizeWeight&) const = default;
 };
 
 struct SyntheticWorkloadConfig {
@@ -69,6 +71,7 @@ struct SyntheticWorkloadConfig {
   std::uint64_t alignment_bytes = 4096;
 
   void Validate() const;
+  bool operator==(const SyntheticWorkloadConfig&) const = default;
 };
 
 /// Streaming generator; deterministic for a given config (seed included).
