@@ -97,13 +97,13 @@ RoutingResult RunOne(ssd::FtlKind kind, ftl::GcRouting routing,
     host.AttachTracer(tracer.get());
   }
 
-  host::ClosedLoopGenerator::Config gen;
-  gen.queue_depth = 16;
-  gen.total_requests = requests;
-  gen.read_fraction = 0.5;
-  gen.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
-  gen.seed = 99;
-  const host::LoadStats load = host::ClosedLoopGenerator(host, gen).Run();
+  host::TenantWorkload burst;
+  burst.queue_depth = 16;
+  burst.total_requests = requests;
+  burst.read_fraction = 0.5;
+  burst.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
+  burst.seed = 99;
+  const host::LoadStats load = host::LoadGenerator(host, {burst}).Run().total;
 
   RoutingResult r;
   r.ftl = ssd::FtlKindName(kind);
@@ -213,13 +213,13 @@ int RunTraceSmoke(const bench::BenchOptions& options) {
   obs::Tracer tracer(tc);
   host.AttachTracer(&tracer);
 
-  host::ClosedLoopGenerator::Config gen;
-  gen.queue_depth = 16;
-  gen.total_requests = 20'000;
-  gen.read_fraction = 0.5;
-  gen.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
-  gen.seed = 99;
-  host::ClosedLoopGenerator(host, gen).Run();
+  host::TenantWorkload burst;
+  burst.queue_depth = 16;
+  burst.total_requests = 20'000;
+  burst.read_fraction = 0.5;
+  burst.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
+  burst.seed = 99;
+  host::LoadGenerator(host, {burst}).Run();
 
   if (ssd.ftl().stats().gc_erases == 0) {
     throw std::runtime_error("trace-smoke: burst was expected to be GC-heavy");

@@ -146,13 +146,13 @@ PipelineRates HostPipelineRate(const PipelineArm& arm, std::uint64_t requests) {
   ctflash::host::HostInterface host(ssd, arm.host);
   host.AdvanceTo(prefill_end);
 
-  ctflash::host::ClosedLoopGenerator::Config gen_config;
-  gen_config.queue_depth = arm.queue_depth;
-  gen_config.total_requests = requests;
-  gen_config.read_fraction = arm.read_fraction;
-  gen_config.footprint_bytes = prefill_bytes;
-  gen_config.seed = 11;
-  ctflash::host::ClosedLoopGenerator generator(host, gen_config);
+  ctflash::host::TenantWorkload stream;
+  stream.queue_depth = arm.queue_depth;
+  stream.total_requests = requests;
+  stream.read_fraction = arm.read_fraction;
+  stream.footprint_bytes = prefill_bytes;
+  stream.seed = 11;
+  ctflash::host::LoadGenerator generator(host, {stream});
   const auto start = std::chrono::steady_clock::now();
   generator.Run();
   const double elapsed = SecondsSince(start);

@@ -30,14 +30,15 @@
 // engine as that tenant under 8:1 DRR weights (tenant 0 favored), printing
 // per-tenant latency/IOPS and asserting conservation only — a
 // user-supplied trace carries no latency bounds.
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness.h"
@@ -47,7 +48,6 @@
 #include "replay/replay_engine.h"
 #include "replay/replay_plan.h"
 #include "replay/trace_source.h"
-#include "util/random.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -118,11 +118,14 @@ host::TenantWorkload FlooderWorkload(const ssd::Ssd& ssd,
   return flooder;
 }
 
-/// One multi-tenant arm; `print_queues` dumps the per-queue breakdown.
-ArmResult RunTenantArm(ssd::FtlKind kind, const std::string& arm,
-                       std::uint64_t device_bytes, const qos::QosConfig& qos,
-                       std::uint64_t paced_requests,
-                       std::uint64_t flooder_requests, bool print_queues) {
+/// One arm of the paced + flooder mix; `print_queues` dumps the per-queue
+/// breakdown of a multi-tenant arm.  With an empty `qos` both streams run
+/// as tenant 0 through the tenant-less seed path and nothing arbitrates
+/// between them.
+ArmResult RunArm(ssd::FtlKind kind, const std::string& arm,
+                 std::uint64_t device_bytes, const qos::QosConfig& qos,
+                 std::uint64_t paced_requests, std::uint64_t flooder_requests,
+                 bool print_queues) {
   ssd::Ssd ssd(DeviceConfig(kind, device_bytes));
   const Us prefill_end =
       g_prefills.Prefill(ssd, ssd.LogicalBytes() / 100 * 80);
@@ -138,17 +141,27 @@ ArmResult RunTenantArm(ssd::FtlKind kind, const std::string& arm,
   if (flooder_requests > 0) {
     workloads.push_back(FlooderWorkload(ssd, flooder_requests));
   }
-  const auto results = host::MultiTenantGenerator(host, workloads).Run();
+  std::size_t paced = 0;
+  if (!qos.Enabled()) {
+    // Tenant-less: the flooder submits as tenant 0, and its closed loop
+    // starts first, the submission order the no-qos rows were measured in.
+    workloads.back().tenant = 0;
+    std::swap(workloads.front(), workloads.back());
+    paced = workloads.size() - 1;
+  }
+  const auto results = host::LoadGenerator(host, workloads).Run().streams;
 
   ArmResult r;
   r.ftl = ssd::FtlKindName(kind);
   r.arm = arm;
-  r.paced_p50_us = results[0].load.read_latency.p50_us();
-  r.paced_p99_us = results[0].load.read_latency.p99_us();
-  r.paced_mean_us = results[0].load.read_latency.mean_us();
+  r.paced_p50_us = results[paced].load.read_latency.p50_us();
+  r.paced_p99_us = results[paced].load.read_latency.p99_us();
+  r.paced_mean_us = results[paced].load.read_latency.mean_us();
   if (results.size() > 1) {
-    r.flooder_iops = results[1].load.Iops();
-    r.flooder_throttled = host.tenants()->StatsOf(1).throttled;
+    r.flooder_iops = results[1 - paced].load.Iops();
+    if (host.tenants() != nullptr) {
+      r.flooder_throttled = host.tenants()->StatsOf(1).throttled;
+    }
   }
 
   if (print_queues) {
@@ -172,73 +185,6 @@ ArmResult RunTenantArm(ssd::FtlKind kind, const std::string& arm,
               << " arm):\n";
     table.Print();
   }
-  return r;
-}
-
-/// The paced + flooder mix through the tenant-less seed path: the flooder
-/// chains closed-loop through Submit, the paced reads arrive open-loop,
-/// and nothing arbitrates between them.
-ArmResult RunNoQosArm(ssd::FtlKind kind, std::uint64_t device_bytes,
-                      std::uint64_t paced_requests,
-                      std::uint64_t flooder_requests) {
-  ssd::Ssd ssd(DeviceConfig(kind, device_bytes));
-  const Us prefill_end =
-      g_prefills.Prefill(ssd, ssd.LogicalBytes() / 100 * 80);
-
-  host::HostConfig cfg;
-  cfg.device_slots = 4;
-  host::HostInterface host(ssd, cfg);
-  host.AdvanceTo(prefill_end);
-
-  const std::uint64_t flood_base = ssd.LogicalBytes() / 100 * 20;
-  const std::uint64_t flood_span = ssd.LogicalBytes() / 100 * 40;
-  util::Xoshiro256StarStar rng(32);
-  std::uint64_t issued = 0;
-  std::uint64_t flooder_done = 0;
-  Us last_flood_us = 0;
-  // The chain closure outlives every pending completion (host.Run()
-  // returns drained), so callbacks capture it by plain pointer.
-  std::function<void()> submit_flood = [&, self = &submit_flood]() {
-    if (issued >= flooder_requests) return;
-    ++issued;
-    const std::uint64_t offset =
-        flood_base +
-        rng.UniformBelow(flood_span / kRequestBytes) * kRequestBytes;
-    host.Submit(trace::OpType::kRead, offset, kRequestBytes,
-                [self, &flooder_done,
-                 &last_flood_us](const host::HostCompletion& c) {
-                  ++flooder_done;
-                  last_flood_us = std::max(last_flood_us, c.completion_us);
-                  (*self)();
-                });
-  };
-  const Us t0 = host.queue().Now();
-  for (int i = 0; i < 32; ++i) submit_flood();
-
-  util::Xoshiro256StarStar paced_rng(31);
-  util::LatencyStats paced;
-  const std::uint64_t paced_span = ssd.LogicalBytes() / 100 * 20;
-  for (std::uint64_t i = 0; i < paced_requests; ++i) {
-    const std::uint64_t offset =
-        paced_rng.UniformBelow(paced_span / kRequestBytes) * kRequestBytes;
-    host.SubmitAt(t0 + static_cast<Us>(i) * 2'000, trace::OpType::kRead,
-                  offset, kRequestBytes,
-                  [&paced](const host::HostCompletion& c) {
-                    paced.Add(c.LatencyUs());
-                  });
-  }
-  host.Run();
-
-  ArmResult r;
-  r.ftl = ssd::FtlKindName(kind);
-  r.arm = "no-qos";
-  r.paced_p50_us = paced.p50_us();
-  r.paced_p99_us = paced.p99_us();
-  r.paced_mean_us = paced.mean_us();
-  const Us span = last_flood_us - t0;
-  r.flooder_iops = span > 0 ? static_cast<double>(flooder_done) * 1e6 /
-                                  static_cast<double>(span)
-                            : 0.0;
   return r;
 }
 
@@ -275,7 +221,7 @@ double RunWeightRatio(ssd::FtlKind kind, std::uint64_t device_bytes,
   workloads[0].seed = 21;
   workloads[1].tenant = 1;
   workloads[1].seed = 22;
-  host::MultiTenantGenerator(host, workloads).Run();
+  host::LoadGenerator(host, workloads).Run();
 
   if (counting || dispatches[1] == 0) {
     throw std::runtime_error("weight-ratio run never reached saturation");
@@ -452,15 +398,16 @@ int main(int argc, char** argv) {
   for (const auto kind :
        {ctflash::ssd::FtlKind::kConventional, ctflash::ssd::FtlKind::kPpb}) {
     const auto solo =
-        RunTenantArm(kind, "solo", options.device_bytes, TwoTenants(8, 1, 0.0),
-                     paced_requests, 0, false);
-    const auto no_qos = RunNoQosArm(kind, options.device_bytes, paced_requests,
-                                    flooder_requests);
+        RunArm(kind, "solo", options.device_bytes, TwoTenants(8, 1, 0.0),
+               paced_requests, 0, false);
+    const auto no_qos =
+        RunArm(kind, "no-qos", options.device_bytes, ctflash::qos::QosConfig{},
+               paced_requests, flooder_requests, false);
     const auto weights =
-        RunTenantArm(kind, "weights", options.device_bytes,
-                     TwoTenants(8, 1, 0.0), paced_requests, flooder_requests,
-                     kind == ctflash::ssd::FtlKind::kConventional);
-    const auto weights_limit = RunTenantArm(
+        RunArm(kind, "weights", options.device_bytes, TwoTenants(8, 1, 0.0),
+               paced_requests, flooder_requests,
+               kind == ctflash::ssd::FtlKind::kConventional);
+    const auto weights_limit = RunArm(
         kind, "weights+limit", options.device_bytes,
         TwoTenants(8, 1, 20'000.0), paced_requests, flooder_requests, false);
     CheckArms(solo, no_qos, weights, weights_limit);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <map>
@@ -15,11 +16,12 @@
 #include "host/load_generator.h"
 #include "obs/export.h"
 #include "obs/tracer.h"
+#include "replay/replay_engine.h"
+#include "replay/replay_plan.h"
 #include "replay/trace_source.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
 #include "trace/synthetic.h"
-#include "trace/trace.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -61,17 +63,15 @@ Json LoadStatsJson(const host::LoadStats& stats) {
 
 Json RunClosedLoop(host::HostInterface& host, const Json& w,
                    std::uint64_t prefill_bytes, std::uint64_t seed) {
-  host::ClosedLoopGenerator::Config cfg;
-  cfg.queue_depth =
+  host::TenantWorkload stream;
+  stream.queue_depth =
       static_cast<std::uint32_t>(w.GetUintOr("queue_depth", 8));
-  cfg.total_requests = w.GetUintOr("requests", 10'000);
-  cfg.read_fraction = w.GetDoubleOr("read_fraction", 1.0);
-  cfg.request_bytes = BytesOf(w, "request_bytes", 16 * kKiB);
-  cfg.footprint_bytes = BytesOf(w, "footprint", prefill_bytes);
-  cfg.seed = seed;
-  cfg.Validate();
-  host::ClosedLoopGenerator gen(host, cfg);
-  return LoadStatsJson(gen.Run());
+  stream.total_requests = w.GetUintOr("requests", 10'000);
+  stream.read_fraction = w.GetDoubleOr("read_fraction", 1.0);
+  stream.request_bytes = BytesOf(w, "request_bytes", 16 * kKiB);
+  stream.footprint_bytes = BytesOf(w, "footprint", prefill_bytes);
+  stream.seed = seed;
+  return LoadStatsJson(host::LoadGenerator(host, {stream}).Run().total);
 }
 
 Json RunTenants(host::HostInterface& host, const Json& w,
@@ -80,6 +80,10 @@ Json RunTenants(host::HostInterface& host, const Json& w,
   if (list == nullptr || !list->IsArray() || list->AsArray().empty()) {
     throw std::runtime_error(
         "campaign: tenants workload needs a non-empty \"tenants\" array");
+  }
+  if (host.tenants() == nullptr) {
+    throw std::runtime_error(
+        "campaign: tenants workload needs a \"qos\" tenant list");
   }
   const std::size_t n = list->AsArray().size();
   // Default working sets: the prefilled space split evenly, tenant order.
@@ -97,15 +101,14 @@ Json RunTenants(host::HostInterface& host, const Json& w,
     tw.footprint_base_bytes = BytesOf(t, "footprint_base", i * slice);
     tw.footprint_bytes = BytesOf(t, "footprint", slice);
     tw.seed = t.GetUintOr("seed", seed + i);
-    tw.Validate();
     workloads.push_back(std::move(tw));
   }
-  host::MultiTenantGenerator gen(host, std::move(workloads));
-  const std::vector<host::TenantLoadStats> per_tenant = gen.Run();
+  const host::LoadResult run =
+      host::LoadGenerator(host, std::move(workloads)).Run();
   Json out;
   JsonArray tenants;
   std::uint64_t requests = 0;
-  for (const host::TenantLoadStats& t : per_tenant) {
+  for (const host::TenantLoadStats& t : run.streams) {
     Json entry = LoadStatsJson(t.load);
     entry["tenant"] = static_cast<std::uint64_t>(t.tenant);
     requests += t.load.requests;
@@ -116,11 +119,33 @@ Json RunTenants(host::HostInterface& host, const Json& w,
   return out;
 }
 
-Json RunOpenLoopRecords(host::HostInterface& host,
-                        std::vector<trace::TraceRecord> records,
-                        double time_scale) {
-  host::OpenLoopGenerator gen(host, std::move(records), time_scale);
-  return LoadStatsJson(gen.Run());
+/// Replays one source open-loop through the host (replay::ReplayEngine):
+/// the workload's `time_scale` stretches inter-arrival gaps (0.5 = twice
+/// the offered load) and `limit` caps the records replayed (0 = all).
+Json ReplaySource(host::HostInterface& host,
+                  std::unique_ptr<replay::TraceSource> source, const Json& w,
+                  std::uint64_t limit) {
+  const double time_scale = w.GetDoubleOr("time_scale", 1.0);
+  if (!std::isfinite(time_scale) || time_scale <= 0.0) {
+    throw std::runtime_error("campaign: time_scale must be finite and > 0");
+  }
+  replay::SourceOptions options;
+  options.warp.acceleration = 1.0 / time_scale;
+  options.filter.max_records = limit;
+  replay::ReplayPlan plan;
+  plan.AddSource(std::move(source), options);
+
+  host::LoadStats stats;
+  host::UtilizationProbe probe(host.ssd().target());
+  const replay::ReplayResult replayed =
+      replay::ReplayEngine(host, replay::ReplayEngineConfig{}).Run(plan);
+  stats.requests = replayed.completed;
+  stats.start_us = replayed.start_us;
+  stats.end_us = replayed.end_us;
+  stats.read_latency = replayed.read_latency;
+  stats.write_latency = replayed.write_latency;
+  probe.Finish(stats);
+  return LoadStatsJson(stats);
 }
 
 Json RunSynthetic(host::HostInterface& host, const Json& w,
@@ -137,9 +162,8 @@ Json RunSynthetic(host::HostInterface& host, const Json& w,
     throw std::runtime_error("campaign: unknown synthetic preset \"" + preset +
                              "\" (expected \"web\" or \"media\")");
   }
-  trace::SyntheticTraceGenerator gen(cfg);
-  return RunOpenLoopRecords(host, gen.Generate(),
-                            w.GetDoubleOr("time_scale", 1.0));
+  return ReplaySource(host, std::make_unique<replay::SyntheticTraceSource>(cfg),
+                      w, /*limit=*/0);
 }
 
 Json RunTraceFile(host::HostInterface& host, const Json& w) {
@@ -148,15 +172,9 @@ Json RunTraceFile(host::HostInterface& host, const Json& w) {
     throw std::runtime_error(
         "campaign: trace workload needs a \"path\" string");
   }
-  const std::uint64_t limit = w.GetUintOr("limit", 0);
-  replay::StreamingMsrCsvSource source(path->AsString());
-  std::vector<trace::TraceRecord> records;
-  while (auto record = source.Next()) {
-    records.push_back(*record);
-    if (limit != 0 && records.size() >= limit) break;
-  }
-  return RunOpenLoopRecords(host, std::move(records),
-                            w.GetDoubleOr("time_scale", 1.0));
+  return ReplaySource(
+      host, std::make_unique<replay::StreamingMsrCsvSource>(path->AsString()),
+      w, w.GetUintOr("limit", 0));
 }
 
 Json DeviceCountersJson(const ssd::Ssd& ssd) {

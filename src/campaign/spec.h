@@ -28,10 +28,14 @@
 // workload.queue_depth=4" etc.  Arms that do not override `seed` get
 // `defaults.seed + arm_index` so replicated arms decorrelate by default.
 //
-// Workload kinds: "closed_loop" (fixed queue depth, uniform random),
-// "tenants" (multi-tenant closed/paced loops; requires a `qos` tenant list),
-// "synthetic" ("web" / "media" preset traces replayed open-loop), and
-// "trace" (an MSR-format CSV replayed open-loop).
+// Workload kinds, on the two host-path load drivers:
+//  * host::LoadGenerator — "closed_loop" (one stream at a fixed queue
+//    depth, uniform random) and "tenants" (one closed or paced stream per
+//    entry; requires a `qos` tenant list);
+//  * replay::ReplayEngine — "synthetic" ("web" / "media" preset traces)
+//    and "trace" (an MSR-format CSV, streamed; `limit` caps its records),
+//    both replayed open-loop with `time_scale` (finite, > 0) stretching
+//    the inter-arrival gaps.
 #pragma once
 
 #include <cstdint>

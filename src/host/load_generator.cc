@@ -1,7 +1,6 @@
 #include "host/load_generator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,8 +10,7 @@ namespace ctflash::host {
 UtilizationProbe::UtilizationProbe(const ftl::FlashTarget& target)
     : target_(target),
       die_busy_0_(target.dies().TotalBusyTime()),
-      channel_busy_0_(target.channels().TotalBusyTime()),
-      chip_busy_0_(target.chips().TotalBusyTime()) {}
+      channel_busy_0_(target.channels().TotalBusyTime()) {}
 
 void UtilizationProbe::Finish(LoadStats& stats) const {
   const Us makespan = stats.MakespanUs();
@@ -27,81 +25,6 @@ void UtilizationProbe::Finish(LoadStats& stats) const {
   stats.channel_utilization =
       share(target_.channels().TotalBusyTime() - channel_busy_0_,
             target_.channels().Count());
-  stats.chip_utilization =
-      share(target_.chips().TotalBusyTime() - chip_busy_0_,
-            target_.chips().Count());
-}
-
-void ClosedLoopGenerator::Config::Validate() const {
-  if (queue_depth == 0) {
-    throw std::invalid_argument("ClosedLoopGenerator: queue_depth must be > 0");
-  }
-  if (total_requests == 0) {
-    throw std::invalid_argument(
-        "ClosedLoopGenerator: total_requests must be > 0");
-  }
-  if (request_bytes == 0) {
-    throw std::invalid_argument(
-        "ClosedLoopGenerator: request_bytes must be > 0");
-  }
-  if (read_fraction < 0.0 || read_fraction > 1.0) {
-    throw std::invalid_argument(
-        "ClosedLoopGenerator: read_fraction must be in [0, 1]");
-  }
-}
-
-ClosedLoopGenerator::ClosedLoopGenerator(HostInterface& host,
-                                         const Config& config)
-    : host_(host), config_(config), rng_(config.seed) {
-  config_.Validate();
-  if (config_.footprint_bytes == 0 ||
-      config_.footprint_bytes > host_.ssd().LogicalBytes()) {
-    config_.footprint_bytes = host_.ssd().LogicalBytes();
-  }
-  if (config_.footprint_bytes < config_.request_bytes) {
-    throw std::invalid_argument(
-        "ClosedLoopGenerator: footprint smaller than one request");
-  }
-}
-
-void ClosedLoopGenerator::SubmitNext() {
-  if (issued_count_ >= config_.total_requests) return;
-  issued_count_++;
-  const trace::OpType op = rng_.Bernoulli(config_.read_fraction)
-                               ? trace::OpType::kRead
-                               : trace::OpType::kWrite;
-  const std::uint64_t slots =
-      config_.footprint_bytes / config_.request_bytes;
-  const std::uint64_t offset =
-      rng_.UniformBelow(slots) * config_.request_bytes;
-  issued_.push_back(
-      {host_.queue().Now(), op, offset, config_.request_bytes});
-  host_.Submit(op, offset, config_.request_bytes,
-               [this](const HostCompletion&) { SubmitNext(); });
-}
-
-LoadStats ClosedLoopGenerator::Run() {
-  if (host_.Outstanding() != 0) {
-    throw std::logic_error("ClosedLoopGenerator: host interface not idle");
-  }
-  host_.ResetStats();
-  issued_count_ = 0;
-  issued_.clear();
-  LoadStats stats;
-  stats.start_us = host_.queue().Now();
-  UtilizationProbe probe(host_.ssd().target());
-
-  const std::uint64_t initial =
-      std::min<std::uint64_t>(config_.queue_depth, config_.total_requests);
-  for (std::uint64_t i = 0; i < initial; ++i) SubmitNext();
-  host_.Run();
-
-  stats.end_us = host_.queue().Now();
-  stats.requests = host_.stats().completed;
-  stats.read_latency = host_.stats().read_latency;
-  stats.write_latency = host_.stats().write_latency;
-  probe.Finish(stats);
-  return stats;
 }
 
 void TenantWorkload::Validate() const {
@@ -121,26 +44,24 @@ void TenantWorkload::Validate() const {
   }
 }
 
-MultiTenantGenerator::MultiTenantGenerator(HostInterface& host,
-                                           std::vector<TenantWorkload> workloads)
+LoadGenerator::LoadGenerator(HostInterface& host,
+                             std::vector<TenantWorkload> workloads)
     : host_(host) {
   if (workloads.empty()) {
-    throw std::invalid_argument("MultiTenantGenerator: no workloads");
+    throw std::invalid_argument("LoadGenerator: no workloads");
   }
-  if (host_.tenants() == nullptr) {
-    throw std::logic_error(
-        "MultiTenantGenerator: host interface has no tenants configured");
-  }
+  const std::size_t tenants =
+      host_.tenants() != nullptr ? host_.tenants()->TenantCount() : 1;
   const std::uint64_t logical = host_.ssd().LogicalBytes();
   for (auto& workload : workloads) {
     workload.Validate();
-    if (workload.tenant >= host_.tenants()->TenantCount()) {
-      throw std::out_of_range("MultiTenantGenerator: unknown tenant " +
+    if (workload.tenant >= tenants) {
+      throw std::out_of_range("LoadGenerator: unknown tenant " +
                               std::to_string(workload.tenant));
     }
     if (workload.footprint_base_bytes >= logical) {
       throw std::invalid_argument(
-          "MultiTenantGenerator: working set starts beyond the device");
+          "LoadGenerator: working set starts beyond the device");
     }
     const std::uint64_t cap = logical - workload.footprint_base_bytes;
     if (workload.footprint_bytes == 0 || workload.footprint_bytes > cap) {
@@ -148,11 +69,10 @@ MultiTenantGenerator::MultiTenantGenerator(HostInterface& host,
     }
     if (workload.footprint_bytes < workload.request_bytes) {
       throw std::invalid_argument(
-          "MultiTenantGenerator: working set smaller than one request");
+          "LoadGenerator: working set smaller than one request");
     }
-    runs_.push_back(TenantRun{workload,
+    runs_.push_back(StreamRun{workload,
                               util::Xoshiro256StarStar(workload.seed),
-                              0,
                               0,
                               0,
                               0,
@@ -161,20 +81,22 @@ MultiTenantGenerator::MultiTenantGenerator(HostInterface& host,
   }
 }
 
-trace::TraceRecord MultiTenantGenerator::NextRecord(TenantRun& run) {
+trace::TraceRecord LoadGenerator::NextRecord(StreamRun& run, Us at) {
   const TenantWorkload& w = run.workload;
+  run.issued++;
   const trace::OpType op = run.rng.Bernoulli(w.read_fraction)
                                ? trace::OpType::kRead
                                : trace::OpType::kWrite;
   const std::uint64_t slots = w.footprint_bytes / w.request_bytes;
   const std::uint64_t offset =
       w.footprint_base_bytes + run.rng.UniformBelow(slots) * w.request_bytes;
-  return {host_.queue().Now(), op, offset, w.request_bytes};
+  issued_.push_back({at, op, offset, w.request_bytes});
+  return issued_.back();
 }
 
-void MultiTenantGenerator::OnComplete(std::size_t idx,
-                                      const HostCompletion& completion) {
-  TenantRun& run = runs_[idx];
+void LoadGenerator::OnComplete(std::size_t idx,
+                               const HostCompletion& completion) {
+  StreamRun& run = runs_[idx];
   run.completed++;
   if (completion.completion_us > run.last_completion_us) {
     run.last_completion_us = completion.completion_us;
@@ -188,28 +110,37 @@ void MultiTenantGenerator::OnComplete(std::size_t idx,
   if (run.workload.interarrival_us == 0) SubmitNext(idx);
 }
 
-void MultiTenantGenerator::SubmitNext(std::size_t idx) {
-  TenantRun& run = runs_[idx];
-  if (run.issued >= run.workload.total_requests) return;
-  run.issued++;
-  const trace::TraceRecord record = NextRecord(run);
-  host_.SubmitAs(run.workload.tenant, record.op, record.offset_bytes,
-                 record.size_bytes, [this, idx](const HostCompletion& c) {
-                   OnComplete(idx, c);
-                 });
+void LoadGenerator::Submit(std::size_t idx, const trace::TraceRecord& r) {
+  auto cb = [this, idx](const HostCompletion& c) { OnComplete(idx, c); };
+  if (host_.tenants() != nullptr) {
+    host_.SubmitAs(runs_[idx].workload.tenant, r.op, r.offset_bytes,
+                   r.size_bytes, std::move(cb));
+  } else {
+    host_.Submit(r.op, r.offset_bytes, r.size_bytes, std::move(cb));
+  }
 }
 
-std::vector<TenantLoadStats> MultiTenantGenerator::Run() {
+void LoadGenerator::SubmitNext(std::size_t idx) {
+  StreamRun& run = runs_[idx];
+  if (run.issued >= run.workload.total_requests) return;
+  Submit(idx, NextRecord(run, host_.queue().Now()));
+}
+
+LoadResult LoadGenerator::Run() {
   if (host_.Outstanding() != 0) {
-    throw std::logic_error("MultiTenantGenerator: host interface not idle");
+    throw std::logic_error("LoadGenerator: host interface not idle");
   }
   host_.ResetStats();
-  const Us start = host_.queue().Now();
+  issued_.clear();
+  LoadResult result;
+  result.total.start_us = host_.queue().Now();
+  const Us start = result.total.start_us;
+  UtilizationProbe probe(host_.ssd().target());
+
   for (std::size_t idx = 0; idx < runs_.size(); ++idx) {
-    TenantRun& run = runs_[idx];
+    StreamRun& run = runs_[idx];
     run.issued = 0;
     run.completed = 0;
-    run.first_submit_us = start;
     run.last_completion_us = start;
     run.read_latency.Reset();
     run.write_latency.Reset();
@@ -218,76 +149,38 @@ std::vector<TenantLoadStats> MultiTenantGenerator::Run() {
       const std::uint64_t initial =
           std::min<std::uint64_t>(w.queue_depth, w.total_requests);
       for (std::uint64_t i = 0; i < initial; ++i) SubmitNext(idx);
-    } else {
-      // Paced open loop: every arrival is scheduled up front at its fixed
-      // cadence; the record stream is drawn here, in arrival order, so the
-      // run stays deterministic.
-      for (std::uint64_t i = 0; i < w.total_requests; ++i) {
-        const trace::TraceRecord record = NextRecord(run);
-        run.issued++;
-        host_.SubmitAtAs(start + static_cast<Us>(i) * w.interarrival_us,
-                         w.tenant, record.op, record.offset_bytes,
-                         record.size_bytes, [this, idx](const HostCompletion& c) {
-                           OnComplete(idx, c);
-                         });
-      }
+      continue;
+    }
+    // Paced open loop: every arrival is scheduled up front at its fixed
+    // cadence; the record stream is drawn here, in arrival order, so the
+    // run stays deterministic.
+    for (std::uint64_t i = 0; i < w.total_requests; ++i) {
+      const trace::TraceRecord r =
+          NextRecord(run, start + static_cast<Us>(i) * w.interarrival_us);
+      host_.queue().ScheduleAt(r.timestamp_us,
+                               [this, idx, r](Us) { Submit(idx, r); });
     }
   }
   host_.Run();
 
-  std::vector<TenantLoadStats> results;
-  results.reserve(runs_.size());
-  for (const TenantRun& run : runs_) {
+  result.total.end_us = host_.queue().Now();
+  result.total.requests = host_.stats().completed;
+  result.total.read_latency = host_.stats().read_latency;
+  result.total.write_latency = host_.stats().write_latency;
+  probe.Finish(result.total);
+
+  result.streams.reserve(runs_.size());
+  for (const StreamRun& run : runs_) {
     TenantLoadStats out;
     out.tenant = run.workload.tenant;
     out.load.requests = run.completed;
-    out.load.start_us = run.first_submit_us;
+    out.load.start_us = start;
     out.load.end_us = run.last_completion_us;
     out.load.read_latency = run.read_latency;
     out.load.write_latency = run.write_latency;
-    // Utilization is a device-wide quantity and does not decompose per
-    // tenant; read it off the host interface / a UtilizationProbe instead.
-    results.push_back(std::move(out));
+    result.streams.push_back(std::move(out));
   }
-  return results;
-}
-
-OpenLoopGenerator::OpenLoopGenerator(HostInterface& host,
-                                     std::vector<trace::TraceRecord> records,
-                                     double time_scale)
-    : host_(host), records_(std::move(records)), time_scale_(time_scale) {
-  if (time_scale_ <= 0.0) {
-    throw std::invalid_argument("OpenLoopGenerator: time_scale must be > 0");
-  }
-}
-
-LoadStats OpenLoopGenerator::Run() {
-  if (host_.Outstanding() != 0) {
-    throw std::logic_error("OpenLoopGenerator: host interface not idle");
-  }
-  host_.ResetStats();
-  LoadStats stats;
-  stats.start_us = host_.queue().Now();
-  UtilizationProbe probe(host_.ssd().target());
-
-  for (const auto& record : records_) {
-    // Clamp hand-built records with negative timestamps to "now" — the
-    // event queue (rightly) refuses to schedule in the past.
-    const Us at = std::max(
-        stats.start_us +
-            static_cast<Us>(std::llround(
-                static_cast<double>(record.timestamp_us) * time_scale_)),
-        host_.queue().Now());
-    host_.SubmitAt(at, record.op, record.offset_bytes, record.size_bytes);
-  }
-  host_.Run();
-
-  stats.end_us = host_.queue().Now();
-  stats.requests = host_.stats().completed;
-  stats.read_latency = host_.stats().read_latency;
-  stats.write_latency = host_.stats().write_latency;
-  probe.Finish(stats);
-  return stats;
+  return result;
 }
 
 }  // namespace ctflash::host

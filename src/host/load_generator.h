@@ -1,17 +1,21 @@
-// Load generators driving the host interface.
+// Closed-loop load generator driving the host interface.
 //
-// ClosedLoopGenerator keeps a fixed number of requests in flight (the
-// classic fio/MQSim queue-depth-driven closed loop): every completion
-// immediately submits the next request, so measured IOPS tracks what the
-// device sustains at that concurrency.  OpenLoopGenerator replays
-// trace::TraceRecord arrivals at their timestamps regardless of
-// completions — offered load is fixed and latency reveals saturation; a
-// time_scale below 1.0 compresses inter-arrival gaps to raise the arrival
-// rate without editing the trace.
+// LoadGenerator runs one or more arrival streams (TenantWorkload)
+// concurrently through one host interface.  A stream is either a closed
+// loop at a fixed queue depth (the classic fio/MQSim queue-depth-driven
+// loop: every completion immediately submits the next request, so
+// measured IOPS tracks what the device sustains at that concurrency) or
+// paced arrivals at a fixed interval regardless of completions (the shape
+// that exposes noisy-neighbor interference).  On a host with tenants
+// configured each stream submits as its tenant; on a host without, every
+// stream is tenant 0 and submits through the single-tenant path.
 //
-// Both generators expect an idle host interface, reset its stats, and
-// report per-run aggregates including per-resource utilization (busy-time
-// deltas over the run's makespan).
+// Trace-driven open-loop load (timestamps, time warps, multi-source
+// merges) goes through replay::ReplayEngine instead.
+//
+// The generator expects an idle host interface, resets its stats, and
+// reports the whole run (host-wide latencies and per-resource utilization:
+// busy-time deltas over the run's makespan) plus one result per stream.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +29,7 @@
 
 namespace ctflash::host {
 
-/// Aggregates for one generator run.
+/// Aggregates for one run (or one stream of a run).
 struct LoadStats {
   std::uint64_t requests = 0;
   Us start_us = 0;
@@ -35,11 +39,6 @@ struct LoadStats {
   /// Busy-time share of the run's makespan, averaged over pool members.
   double die_utilization = 0.0;
   double channel_utilization = 0.0;
-  /// Cell-op duty summed over each chip's dies (the chip timelines are
-  /// busy-time accounting): with multiple dies per chip overlapping, this
-  /// exceeds 1.0 — it measures die-parallelism extracted per chip, not a
-  /// share of the makespan.
-  double chip_utilization = 0.0;
 
   Us MakespanUs() const { return end_us - start_us; }
   double Iops() const {
@@ -56,66 +55,15 @@ struct LoadStats {
   }
 };
 
-class ClosedLoopGenerator {
- public:
-  struct Config {
-    std::uint32_t queue_depth = 8;
-    std::uint64_t total_requests = 10'000;
-    double read_fraction = 1.0;
-    std::uint64_t request_bytes = 16 * kKiB;
-    /// Address span to draw uniform random request-aligned offsets from;
-    /// 0 = the device's whole logical space.
-    std::uint64_t footprint_bytes = 0;
-    std::uint64_t seed = 1;
-
-    void Validate() const;
-  };
-
-  ClosedLoopGenerator(HostInterface& host, const Config& config);
-
-  /// Submits `queue_depth` requests, then one per completion until
-  /// `total_requests` have been issued; drains and reports.
-  LoadStats Run();
-
-  /// The exact request stream issued (for determinism and sync-path
-  /// equivalence checks); timestamps are submission times.
-  const std::vector<trace::TraceRecord>& issued() const { return issued_; }
-
- private:
-  void SubmitNext();
-
-  HostInterface& host_;
-  Config config_;
-  util::Xoshiro256StarStar rng_;
-  std::uint64_t issued_count_ = 0;
-  std::vector<trace::TraceRecord> issued_;
-};
-
-class OpenLoopGenerator {
- public:
-  OpenLoopGenerator(HostInterface& host,
-                    std::vector<trace::TraceRecord> records,
-                    double time_scale = 1.0);
-
-  LoadStats Run();
-
- private:
-  HostInterface& host_;
-  std::vector<trace::TraceRecord> records_;
-  double time_scale_;
-};
-
-// --- multi-tenant load ------------------------------------------------------
-
-/// One tenant's arrival process for MultiTenantGenerator: either a closed
-/// loop at `queue_depth` (interarrival_us == 0) or paced open-loop arrivals
-/// every `interarrival_us` (offered load fixed regardless of completions —
-/// the shape that exposes noisy-neighbor interference).  Offsets are drawn
-/// request-aligned and uniform from the tenant's own working-set range
-/// [footprint_base_bytes, footprint_base_bytes + footprint_bytes), so
-/// tenants can be given disjoint (or deliberately overlapping) data.
+/// One arrival stream for LoadGenerator: either a closed loop at
+/// `queue_depth` (interarrival_us == 0) or paced arrivals every
+/// `interarrival_us` (offered load fixed regardless of completions).
+/// Offsets are drawn request-aligned and uniform from the stream's own
+/// working-set range [footprint_base_bytes, footprint_base_bytes +
+/// footprint_bytes), so streams can be given disjoint (or deliberately
+/// overlapping) data.
 struct TenantWorkload {
-  qos::TenantId tenant = 0;
+  qos::TenantId tenant = 0;        ///< must be 0 on a host without tenants
   std::uint32_t queue_depth = 8;   ///< closed-loop arm
   Us interarrival_us = 0;          ///< > 0: paced open-loop arm
   std::uint64_t total_requests = 1'000;
@@ -128,50 +76,67 @@ struct TenantWorkload {
   void Validate() const;
 };
 
-/// Per-tenant results of one multi-tenant run; `load` carries the tenant's
-/// own request latencies (end-to-end, including any rate-limit pacing) and
-/// IOPS over the tenant's first-submission..last-completion span.
+/// One stream's results; `load` carries the stream's own request latencies
+/// (end-to-end, including any rate-limit pacing) and IOPS over the stream's
+/// first-submission..last-completion span.  Utilization is device-wide and
+/// does not decompose per stream: read it from LoadResult::total.
 struct TenantLoadStats {
   qos::TenantId tenant = 0;
   LoadStats load;
 };
 
-/// Drives several tenants' arrival processes concurrently through one
-/// multi-tenant host interface (HostConfig::qos configured) and reports
-/// per-tenant aggregates.  The device-wide view (utilization, per-queue
-/// breakdown, tenant-table telemetry) stays readable on the host interface
-/// afterwards.
-class MultiTenantGenerator {
- public:
-  MultiTenantGenerator(HostInterface& host,
-                       std::vector<TenantWorkload> workloads);
+/// What LoadGenerator::Run() reports.
+struct LoadResult {
+  /// The whole run: host-wide latencies, utilization, and end_us at the
+  /// drained host's clock, which can be later than the last completion
+  /// (scheduled GC work still draining).
+  LoadStats total;
+  /// Per stream, in workload order.
+  std::vector<TenantLoadStats> streams;
+};
 
-  /// Submits every tenant's process from an idle host, drains, reports in
-  /// workload order.
-  std::vector<TenantLoadStats> Run();
+class LoadGenerator {
+ public:
+  LoadGenerator(HostInterface& host, std::vector<TenantWorkload> workloads);
+
+  LoadGenerator(const LoadGenerator&) = delete;
+  LoadGenerator& operator=(const LoadGenerator&) = delete;
+
+  /// Submits every stream from an idle host (closed loops first fill their
+  /// queue depth, paced streams schedule all arrivals up front, in
+  /// workload order), drains, reports.
+  LoadResult Run();
+
+  /// The exact request stream of the last run in draw order, timestamped
+  /// with each request's submission time (determinism and sync-path
+  /// equivalence checks).
+  const std::vector<trace::TraceRecord>& issued() const { return issued_; }
 
  private:
-  struct TenantRun {
+  struct StreamRun {
     TenantWorkload workload;
     util::Xoshiro256StarStar rng;
     std::uint64_t issued = 0;
     std::uint64_t completed = 0;
-    Us first_submit_us = 0;
     Us last_completion_us = 0;
     util::LatencyStats read_latency;
     util::LatencyStats write_latency;
   };
 
-  void SubmitNext(std::size_t idx);         ///< closed-loop chain
+  /// Draws the stream's next request, to be submitted at `at`.
+  trace::TraceRecord NextRecord(StreamRun& run, Us at);
+  /// Submits now, as the stream's tenant when the host has tenants.
+  void Submit(std::size_t idx, const trace::TraceRecord& record);
+  void SubmitNext(std::size_t idx);  ///< closed-loop chain
   void OnComplete(std::size_t idx, const HostCompletion& completion);
-  trace::TraceRecord NextRecord(TenantRun& run);
 
   HostInterface& host_;
-  std::vector<TenantRun> runs_;
+  std::vector<StreamRun> runs_;
+  std::vector<trace::TraceRecord> issued_;
 };
 
-/// Snapshot/delta helper shared by the generators: utilization of the
-/// device's resource pools between two points in simulated time.
+/// Snapshot/delta helper for load drivers: utilization of the device's
+/// resource pools between two points in simulated time.
 struct UtilizationProbe {
   explicit UtilizationProbe(const ftl::FlashTarget& target);
 
@@ -183,7 +148,6 @@ struct UtilizationProbe {
   const ftl::FlashTarget& target_;
   Us die_busy_0_;
   Us channel_busy_0_;
-  Us chip_busy_0_;
 };
 
 }  // namespace ctflash::host

@@ -10,19 +10,11 @@ void ReplayEngineConfig::Validate() const {
   if (window_us < 0) {
     throw std::invalid_argument("ReplayEngineConfig: window_us must be >= 0");
   }
-  if (start_us < 0) {
-    throw std::invalid_argument("ReplayEngineConfig: start_us must be >= 0");
-  }
 }
 
 ReplayEngine::ReplayEngine(host::HostInterface& host,
                            const ReplayEngineConfig& config)
-    : host_(&host), config_(config) {
-  config_.Validate();
-}
-
-ReplayEngine::ReplayEngine(ssd::Ssd& ssd, const ReplayEngineConfig& config)
-    : ssd_(&ssd), config_(config) {
+    : host_(host), config_(config) {
   config_.Validate();
 }
 
@@ -45,19 +37,16 @@ ReplayResult ReplayEngine::Run(TraceSource& source) {
 }
 
 ReplayResult ReplayEngine::RunPuller(const Puller& pull) {
-  sim::EventQueue& queue = host_ != nullptr ? host_->queue() : direct_queue_;
-  if (host_ != nullptr) {
-    if (host_->Outstanding() != 0) {
-      throw std::logic_error("ReplayEngine: host interface not idle");
-    }
-    host_->ResetStats();
+  if (host_.Outstanding() != 0) {
+    throw std::logic_error("ReplayEngine: host interface not idle");
   }
+  host_.ResetStats();
+  sim::EventQueue& queue = host_.queue();
 
   pull_ = pull;
   result_ = ReplayResult{};
-  result_.start_us = host_ != nullptr ? queue.Now() : config_.start_us;
+  result_.start_us = queue.Now();
   result_.end_us = result_.start_us;
-  result_.max_completion_us = result_.start_us;
   window_read_.Reset();
   window_write_.Reset();
   window_arrivals_ = 0;
@@ -70,21 +59,17 @@ ReplayResult ReplayEngine::RunPuller(const Puller& pull) {
     const Us at = std::max(result_.start_us + staged_->record.timestamp_us,
                            queue.Now());
     queue.ScheduleAt(at, [this](Us now) { OnArrival(now); });
-    if (host_ != nullptr) {
-      host_->Run();
-    } else {
-      direct_queue_.RunToCompletion();
-    }
+    host_.Run();
   }
 
-  result_.end_us = std::max(queue.Now(), result_.max_completion_us);
+  result_.end_us = queue.Now();
   if (config_.window_us > 0 &&
       (window_arrivals_ > 0 || window_completions_ > 0)) {
     FlushWindow(std::max(result_.end_us, window_start_ + 1));
   }
 
-  if (host_ != nullptr && host_->tenants() != nullptr) {
-    const qos::TenantTable& table = *host_->tenants();
+  if (host_.tenants() != nullptr) {
+    const qos::TenantTable& table = *host_.tenants();
     for (qos::TenantId t = 0; t < table.TenantCount(); ++t) {
       const auto& stats = table.StatsOf(t);
       TenantReplayResult tenant;
@@ -110,64 +95,40 @@ void ReplayEngine::OnArrival(Us now) {
   window_arrivals_++;
   const TaggedRecord record = *staged_;
 
-  // Pull and chain the next arrival BEFORE submitting: in direct mode the
-  // submission is synchronous and must not reorder ahead of the chain.
+  // Pull and chain the next arrival BEFORE submitting, so the arrival's
+  // event is queued ahead of any event the submission schedules at the
+  // same time.
   staged_ = pull_();
   if (staged_) {
     result_.pulled++;
-    sim::EventQueue& queue = host_ != nullptr ? host_->queue() : direct_queue_;
     const Us at =
         std::max(result_.start_us + staged_->record.timestamp_us, now);
-    queue.ScheduleAt(at, [this](Us t) { OnArrival(t); });
+    host_.queue().ScheduleAt(at, [this](Us t) { OnArrival(t); });
   }
 
-  Submit(record, now);
+  Submit(record);
 }
 
-void ReplayEngine::Submit(const TaggedRecord& record, Us now) {
+void ReplayEngine::Submit(const TaggedRecord& record) {
   const trace::TraceRecord& r = record.record;
-  if (host_ != nullptr) {
-    result_.submitted++;
-    auto cb = [this, record](const host::HostCompletion& c) {
-      OnComplete(record, c.LatencyUs(), c.completion_us);
-    };
-    if (host_->tenants() != nullptr && record.tenant != qos::kNoTenant) {
-      host_->SubmitAs(record.tenant, r.op, r.offset_bytes, r.size_bytes,
-                      std::move(cb));
-    } else {
-      host_->Submit(r.op, r.offset_bytes, r.size_bytes, std::move(cb));
-    }
-    return;
-  }
-
-  // Direct mode: the seed harness clip (wrap into the logical space, drop
-  // zero-length remainders) followed by a synchronous FTL issue.
-  const std::uint64_t logical = ssd_->LogicalBytes();
-  std::uint64_t offset = r.offset_bytes;
-  std::uint64_t size = r.size_bytes;
-  if (offset >= logical) offset %= logical;
-  if (offset + size > logical) size = logical - offset;
-  if (size == 0) {
-    result_.dropped++;
-    return;
-  }
   result_.submitted++;
-  const ftl::RequestResult res = r.op == trace::OpType::kRead
-                                     ? ssd_->Read(offset, size, now)
-                                     : ssd_->Write(offset, size, now);
-  OnComplete(record, res.LatencyUs(), res.completion_us);
+  auto cb = [this, record](const host::HostCompletion& c) {
+    OnComplete(record, c.LatencyUs(), c.completion_us);
+  };
+  if (host_.tenants() != nullptr && record.tenant != qos::kNoTenant) {
+    host_.SubmitAs(record.tenant, r.op, r.offset_bytes, r.size_bytes,
+                   std::move(cb));
+  } else {
+    host_.Submit(r.op, r.offset_bytes, r.size_bytes, std::move(cb));
+  }
 }
 
 void ReplayEngine::OnComplete(const TaggedRecord& record, Us latency_us,
                               Us completion_us) {
-  // Host-mode completions fire as events at completion_us, so the window
-  // cursor advances with them; direct-mode completions book into the
-  // arrival's window (the seed accounting).
-  if (host_ != nullptr) WindowAdvance(completion_us);
+  // Completions fire as events at completion_us, so the window cursor
+  // advances with them.
+  WindowAdvance(completion_us);
   result_.completed++;
-  if (completion_us > result_.max_completion_us) {
-    result_.max_completion_us = completion_us;
-  }
   window_completions_++;
   if (record.record.op == trace::OpType::kRead) {
     result_.read_latency.Add(latency_us);
@@ -208,7 +169,7 @@ void ReplayEngine::FlushWindow(Us close_time) {
   window.read_p99_us = window_read_.p99_us();
   window.write_p50_us = window_write_.p50_us();
   window.write_p99_us = window_write_.p99_us();
-  window.outstanding_end = host_ != nullptr ? host_->Outstanding() : 0;
+  window.outstanding_end = host_.Outstanding();
   result_.windows.push_back(window);
 
   window_start_ = close_time;

@@ -1,28 +1,22 @@
-// ReplayEngine: drives a trace (plan or bare source) against the simulated
-// device, open-loop, with streaming admission and windowed telemetry.
+// ReplayEngine: the open-loop load driver.  Drives a trace (plan or bare
+// source) through a host::HostInterface with streaming admission and
+// windowed telemetry.
 //
-// Two drive modes:
+// Every record becomes an arrival event at its (warped) timestamp and is
+// submitted through HostInterface::SubmitAs / Submit, so queue
+// backpressure, out-of-order page scheduling, scheduled GC, and the
+// multi-tenant QoS engine all apply.  Tenant-tagged records from a
+// ReplayPlan route to their tenant's submission queues (SubmitAtAs
+// semantics); per-tenant results are read back from the qos::TenantTable
+// attribution.  This is the path the Figures 13/14 validation, the
+// campaign's trace-driven arms and mixed-tenant studies run on.
 //
-//  * Host mode — constructed over a host::HostInterface.  Every record
-//    becomes an arrival event at its (warped) timestamp and is submitted
-//    through HostInterface::SubmitAs / Submit, so queue backpressure,
-//    out-of-order page scheduling, scheduled GC, and the multi-tenant QoS
-//    engine all apply.  Tenant-tagged records from a ReplayPlan route to
-//    their tenant's submission queues (SubmitAtAs semantics); per-tenant
-//    results are read back from the qos::TenantTable attribution.  This is
-//    the mode the Figures 13/14 validation and mixed-tenant studies run on.
-//
-//  * Direct mode — constructed over an ssd::Ssd.  Arrivals issue
-//    synchronous FTL requests on the engine's own event queue, reproducing
-//    the seed ExperimentRunner::ReplayOpenLoop semantics exactly for
-//    monotone traces (ssd::ExperimentRunner is rebased onto this mode).
-//
-// Either way, arrivals are CHAINED: one pending arrival event at a time,
-// pulling the next record only when the previous arrival fires.  Replay
-// memory is O(source window), never O(trace) — the event queue does not
-// materialize a million arrivals up front.  Records whose timestamps run
-// backward (out-of-order MSR arrivals) are clamped to the current simulated
-// time, preserving record order.
+// Arrivals are CHAINED: one pending arrival event at a time, pulling the
+// next record only when the previous arrival fires.  Replay memory is
+// O(source window), never O(trace) — the event queue does not materialize
+// a million arrivals up front.  Records whose timestamps run backward
+// (out-of-order MSR arrivals) are clamped to the current simulated time,
+// preserving record order.
 //
 // Telemetry: total and per-window (config.window_us) arrival/completion
 // counts, IOPS, read/write p50/p99 and end-of-window queue depth, plus the
@@ -40,8 +34,6 @@
 #include "host/host_interface.h"
 #include "replay/replay_plan.h"
 #include "replay/trace_source.h"
-#include "sim/event_queue.h"
-#include "ssd/ssd.h"
 #include "util/stats.h"
 #include "util/types.h"
 
@@ -50,9 +42,6 @@ namespace ctflash::replay {
 struct ReplayEngineConfig {
   /// Telemetry interval; 0 disables windowed telemetry.
   Us window_us = 0;
-  /// Direct mode only: simulated time of trace t=0 (host mode starts at
-  /// the host queue's current time).
-  Us start_us = 0;
 
   void Validate() const;
 };
@@ -68,11 +57,11 @@ struct ReplayWindow {
   double read_p99_us = 0.0;
   double write_p50_us = 0.0;
   double write_p99_us = 0.0;
-  /// Host-mode queue depth (admitted, incomplete) when the window closed.
+  /// Host queue depth (admitted, incomplete) when the window closed.
   std::uint32_t outstanding_end = 0;
 };
 
-/// Per-tenant slice of a host-mode replay, read from the QoS engine's
+/// Per-tenant slice of a replay, read from the QoS engine's
 /// attribution (qos::TenantTable::TenantStats).
 struct TenantReplayResult {
   qos::TenantId tenant = qos::kNoTenant;
@@ -99,17 +88,13 @@ struct ReplayResult {
   std::uint64_t pulled = 0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
-  /// Direct mode: records the seed harness clipped away entirely (no flash
-  /// work, not counted in submitted/completed).
-  std::uint64_t dropped = 0;
 
   Us start_us = 0;
-  Us end_us = 0;
-  Us max_completion_us = 0;
+  Us end_us = 0;  ///< the drained host's clock
   util::LatencyStats read_latency;
   util::LatencyStats write_latency;
   std::vector<ReplayWindow> windows;
-  std::vector<TenantReplayResult> tenants;  ///< host mode with tenants
+  std::vector<TenantReplayResult> tenants;  ///< hosts with tenants only
   std::vector<SourceCounters> sources;      ///< plan runs only
 
   Us MakespanUs() const { return end_us - start_us; }
@@ -127,12 +112,10 @@ struct ReplayResult {
 
 class ReplayEngine {
  public:
-  /// Host mode; the host interface must be idle at Run().  Run() resets
-  /// the host's stats (and tenant stats) like the load generators do.
+  /// The host interface must be idle at Run().  Run() resets the host's
+  /// stats (and tenant stats) like host::LoadGenerator does; the replay
+  /// starts at the host queue's current time.
   ReplayEngine(host::HostInterface& host, const ReplayEngineConfig& config);
-
-  /// Direct mode (synchronous FTL issue; seed open-loop semantics).
-  ReplayEngine(ssd::Ssd& ssd, const ReplayEngineConfig& config);
 
   ReplayEngine(const ReplayEngine&) = delete;
   ReplayEngine& operator=(const ReplayEngine&) = delete;
@@ -150,17 +133,15 @@ class ReplayEngine {
   /// Arrival event: submit `staged`, pull the next record, chain the next
   /// arrival event.
   void OnArrival(Us now);
-  void Submit(const TaggedRecord& record, Us now);
+  void Submit(const TaggedRecord& record);
   void OnComplete(const TaggedRecord& record, Us latency_us,
                   Us completion_us);
   /// Closes telemetry windows up to the one containing `now`.
   void WindowAdvance(Us now);
   void FlushWindow(Us close_time);
 
-  host::HostInterface* host_ = nullptr;  ///< null in direct mode
-  ssd::Ssd* ssd_ = nullptr;
+  host::HostInterface& host_;
   ReplayEngineConfig config_;
-  sim::EventQueue direct_queue_;  ///< direct mode's arrival clock
 
   // Per-run state.
   Puller pull_;

@@ -85,11 +85,15 @@ bool RemapRecord(const RemapConfig& config, trace::TraceRecord& record) {
 }
 
 void TimeWarpConfig::Validate() const {
-  if (!(acceleration > 0.0)) {
-    throw std::invalid_argument("TimeWarpConfig: acceleration must be > 0");
+  // An infinite acceleration warps every timestamp to 0 and a NaN one to
+  // INT64_MIN; both must be refused here, not discovered mid-replay.
+  if (!std::isfinite(acceleration) || acceleration <= 0.0) {
+    throw std::invalid_argument(
+        "TimeWarpConfig: acceleration must be finite and > 0");
   }
-  if (target_iops < 0.0) {
-    throw std::invalid_argument("TimeWarpConfig: target_iops must be >= 0");
+  if (!std::isfinite(target_iops) || target_iops < 0.0) {
+    throw std::invalid_argument(
+        "TimeWarpConfig: target_iops must be finite and >= 0");
   }
   if (start_offset_us < 0) {
     throw std::invalid_argument("TimeWarpConfig: start_offset_us must be >= 0");
@@ -97,19 +101,26 @@ void TimeWarpConfig::Validate() const {
 }
 
 void TimeWarpConfig::ResolveRateTarget(std::uint64_t records, Us duration_us) {
-  if (target_iops <= 0.0) return;
+  Validate();
+  if (target_iops == 0.0) return;
   if (records == 0) {
     throw std::invalid_argument("ResolveRateTarget: empty source");
   }
   // A zero-duration source (all arrivals at t=0) is already infinitely
   // fast; leave it unwarped.
-  if (duration_us <= 0) {
-    acceleration = 1.0;
-  } else {
+  double resolved = 1.0;
+  if (duration_us > 0) {
     const double native_iops = static_cast<double>(records) * 1e6 /
                                static_cast<double>(duration_us);
-    acceleration = target_iops / native_iops;
+    resolved = target_iops / native_iops;
   }
+  // A rate ratio that overflows or underflows must not reach Warp().
+  if (!std::isfinite(resolved) || resolved <= 0.0) {
+    throw std::invalid_argument(
+        "ResolveRateTarget: target_iops resolves to an infinite or zero "
+        "acceleration");
+  }
+  acceleration = resolved;
   target_iops = 0.0;  // resolved
 }
 

@@ -85,19 +85,19 @@ bool RemapRecord(const RemapConfig& config, trace::TraceRecord& record);
 
 struct TimeWarpConfig {
   /// Inter-arrival compression: warped_ts = ts / acceleration.  1.0 = real
-  /// time, 2.0 = double the offered load.  Must be > 0.
+  /// time, 2.0 = double the offered load.  Must be finite and > 0.
   double acceleration = 1.0;
   /// When > 0, replaces `acceleration` with target_iops / native_iops; the
   /// native rate must be resolved first (ResolveRateTarget), which needs
-  /// the source's record count and duration.
+  /// the source's record count and duration.  Must be finite.
   double target_iops = 0.0;
   /// Added to every warped timestamp (aligning traces captured at
   /// different epochs, or delaying one tenant's entry).
   Us start_offset_us = 0;
 
   void Validate() const;
-  /// Derives the effective acceleration from a source's native rate.
-  /// No-op when target_iops == 0.
+  /// Derives the effective acceleration from a source's native rate and
+  /// re-validates it.  No-op when target_iops == 0.
   void ResolveRateTarget(std::uint64_t records, Us duration_us);
   /// warped timestamp of `ts` under this config.
   Us Warp(Us ts) const;

@@ -5,8 +5,6 @@
 
 #include "host/host_interface.h"
 #include "host/load_generator.h"
-#include "replay/replay_engine.h"
-#include "replay/trace_source.h"
 
 namespace ctflash::ssd {
 
@@ -15,8 +13,7 @@ double Enhancement(double base_total, double ours_total) {
   return (base_total - ours_total) / base_total;
 }
 
-ExperimentRunner::ExperimentRunner(Ssd& ssd, bool closed_loop)
-    : ssd_(ssd), closed_loop_(closed_loop) {}
+ExperimentRunner::ExperimentRunner(Ssd& ssd) : ssd_(ssd) {}
 
 Us ExperimentRunner::Prefill(std::uint64_t bytes, std::uint64_t chunk_bytes) {
   if (chunk_bytes == 0) {
@@ -37,30 +34,32 @@ Us ExperimentRunner::Prefill(std::uint64_t bytes, std::uint64_t chunk_bytes) {
   return clock_us_ - start;
 }
 
-bool ExperimentRunner::IssueRecord(const trace::TraceRecord& rec, Us arrival,
-                                   ExperimentResult& result) {
-  // Clip to the exported logical space.
-  std::uint64_t offset = rec.offset_bytes;
-  std::uint64_t size = rec.size_bytes;
+ExperimentResult ExperimentRunner::Replay(
+    const std::vector<trace::TraceRecord>& records,
+    const std::string& workload_name) {
+  ExperimentResult result;
+  const Us base = clock_us_;
   const std::uint64_t logical = ssd_.LogicalBytes();
-  if (offset >= logical) offset %= logical;
-  if (offset + size > logical) size = logical - offset;
-  if (size == 0) return false;
+  for (const auto& rec : records) {
+    // Clip to the exported logical space.
+    std::uint64_t offset = rec.offset_bytes;
+    std::uint64_t size = rec.size_bytes;
+    if (offset >= logical) offset %= logical;
+    if (offset + size > logical) size = logical - offset;
+    if (size == 0) continue;
 
-  if (rec.op == trace::OpType::kRead) {
-    const auto r = ssd_.Read(offset, size, arrival);
-    result.read_latency.Add(r.LatencyUs());
-    clock_us_ = std::max(clock_us_, r.completion_us);
-  } else {
-    const auto r = ssd_.Write(offset, size, arrival);
-    result.write_latency.Add(r.LatencyUs());
-    clock_us_ = std::max(clock_us_, r.completion_us);
+    const Us arrival = std::max(base + rec.timestamp_us, clock_us_);
+    if (rec.op == trace::OpType::kRead) {
+      const auto r = ssd_.Read(offset, size, arrival);
+      result.read_latency.Add(r.LatencyUs());
+      clock_us_ = std::max(clock_us_, r.completion_us);
+    } else {
+      const auto r = ssd_.Write(offset, size, arrival);
+      result.write_latency.Add(r.LatencyUs());
+      clock_us_ = std::max(clock_us_, r.completion_us);
+    }
   }
-  return true;
-}
 
-void ExperimentRunner::FinalizeResult(ExperimentResult& result,
-                                      const std::string& workload_name) const {
   result.ftl_name = ssd_.FtlName();
   result.workload_name = workload_name;
   const auto& stats = ssd_.ftl().stats();
@@ -70,42 +69,6 @@ void ExperimentRunner::FinalizeResult(ExperimentResult& result,
   result.host_write_pages = stats.host_write_pages;
   result.waf = stats.Waf();
   result.sim_end_us = clock_us_;
-}
-
-ExperimentResult ExperimentRunner::Replay(
-    const std::vector<trace::TraceRecord>& records,
-    const std::string& workload_name) {
-  ExperimentResult result;
-  const Us base = clock_us_;
-  for (const auto& rec : records) {
-    const Us ts = base + rec.timestamp_us;
-    const Us arrival = closed_loop_ ? std::max(ts, clock_us_) : ts;
-    IssueRecord(rec, arrival, result);
-  }
-  FinalizeResult(result, workload_name);
-  return result;
-}
-
-ExperimentResult ExperimentRunner::ReplayOpenLoop(
-    const std::vector<trace::TraceRecord>& records,
-    const std::string& workload_name) {
-  // Rebased onto the replay engine's direct mode (streaming chained
-  // arrivals, O(1) pending events instead of one per record).  For
-  // monotone traces the issue order and times — and therefore every
-  // latency sample and FTL counter — are identical to the seed
-  // event-per-record loop; out-of-order arrivals are clamped to the
-  // current simulated time in record order.
-  replay::ReplayEngineConfig cfg;
-  cfg.start_us = clock_us_;
-  replay::ReplayEngine engine(ssd_, cfg);
-  replay::VectorTraceSource source(records);
-  const replay::ReplayResult replayed = engine.Run(source);
-
-  ExperimentResult result;
-  result.read_latency = replayed.read_latency;
-  result.write_latency = replayed.write_latency;
-  clock_us_ = std::max(clock_us_, replayed.max_completion_us);
-  FinalizeResult(result, workload_name);
   return result;
 }
 
@@ -140,15 +103,15 @@ std::vector<QdSweepPoint> RunQdSweep(const SsdConfig& config,
     host::HostInterface host(ssd, host_cfg);
     host.AdvanceTo(prefill_end);  // flash timelines are booked to here
 
-    host::ClosedLoopGenerator::Config gen_cfg;
-    gen_cfg.queue_depth = qd;
-    gen_cfg.total_requests = options.requests_per_point;
-    gen_cfg.read_fraction = options.read_fraction;
-    gen_cfg.request_bytes = options.request_bytes;
-    gen_cfg.footprint_bytes = ssd.LogicalBytes() / 100 * options.prefill_pct;
-    gen_cfg.seed = options.seed;
-    host::ClosedLoopGenerator generator(host, gen_cfg);
-    const host::LoadStats load = generator.Run();
+    host::TenantWorkload stream;
+    stream.queue_depth = qd;
+    stream.total_requests = options.requests_per_point;
+    stream.read_fraction = options.read_fraction;
+    stream.request_bytes = options.request_bytes;
+    stream.footprint_bytes = ssd.LogicalBytes() / 100 * options.prefill_pct;
+    stream.seed = options.seed;
+    const host::LoadStats load =
+        host::LoadGenerator(host, {stream}).Run().total;
 
     QdSweepPoint point;
     point.queue_depth = qd;
@@ -164,62 +127,6 @@ std::vector<QdSweepPoint> RunQdSweep(const SsdConfig& config,
     point.channel_utilization = load.channel_utilization;
     point.makespan_us = load.MakespanUs();
     points.push_back(point);
-  }
-  return points;
-}
-
-std::vector<TenantSweepPoint> RunTenantQdSweep(
-    const SsdConfig& config, const TenantSweepOptions& options) {
-  if (options.prefill_pct > 100) {
-    throw std::invalid_argument("RunTenantQdSweep: prefill_pct must be <= 100");
-  }
-  if (!options.host.qos.Enabled()) {
-    throw std::invalid_argument(
-        "RunTenantQdSweep: HostConfig::qos must configure tenants");
-  }
-  std::vector<TenantSweepPoint> points;
-  for (const std::uint32_t qd : options.queue_depths) {
-    SsdConfig cfg = config;
-    cfg.timing_mode = ftl::TimingMode::kQueued;
-    Ssd ssd(cfg);
-    ExperimentRunner runner(ssd);
-    const Us prefill_end =
-        runner.Prefill(ssd.LogicalBytes() / 100 * options.prefill_pct);
-
-    host::HostConfig host_cfg = options.host;
-    host_cfg.queue_capacity =
-        std::max<std::uint32_t>(host_cfg.queue_capacity, qd);
-    host::HostInterface host(ssd, host_cfg);
-    host.AdvanceTo(prefill_end);
-
-    std::vector<host::TenantWorkload> workloads = options.workloads;
-    for (auto& w : workloads) {
-      if (w.interarrival_us == 0) w.queue_depth = qd;
-    }
-    const auto results = host::MultiTenantGenerator(host, workloads).Run();
-
-    const qos::TenantTable& table = *host.tenants();
-    for (const auto& result : results) {
-      TenantSweepPoint point;
-      point.queue_depth = qd;
-      point.tenant = result.tenant;
-      point.requests = result.load.requests;
-      point.iops = result.load.Iops();
-      const util::LatencyStats all = result.load.AllLatency();
-      point.mean_us = all.mean_us();
-      point.p50_us = all.p50_us();
-      point.p99_us = all.p99_us();
-      point.p999_us = all.p999_us();
-      const auto& tstats = table.StatsOf(result.tenant);
-      point.throttled = tstats.throttled;
-      point.throttle_wait_us = tstats.throttle_wait_us;
-      point.read_dispatches = tstats.read_dispatches;
-      point.write_dispatches = tstats.write_dispatches;
-      point.read_deficit = table.DeficitOf(qos::ArbClass::kRead, result.tenant);
-      point.write_deficit =
-          table.DeficitOf(qos::ArbClass::kWrite, result.tenant);
-      points.push_back(point);
-    }
   }
   return points;
 }

@@ -2,10 +2,11 @@
 //
 // Replays a block trace against an Ssd and aggregates the metrics the
 // paper's figures report: cumulative/mean read latency, cumulative/mean
-// write latency, and erased-block count.  Replay is closed-loop by default
-// (a request is issued at max(its trace timestamp, previous completion)),
-// which keeps per-request latency device-bound and deterministic; open-loop
-// replay (timestamps only) is available for queueing studies.
+// write latency, and erased-block count.  Replay is closed-loop (a request
+// is issued at max(its trace timestamp, previous completion)), which keeps
+// per-request latency device-bound and deterministic.  Open-loop replay
+// for queueing studies runs through the host interface instead
+// (replay::ReplayEngine).
 //
 // The standard protocol, matching trace-driven FTL evaluation practice, is:
 //   1. Prefill: sequentially write the trace's footprint so every read hits
@@ -18,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "host/load_generator.h"
-#include "sim/event_queue.h"
 #include "ssd/ssd.h"
 #include "trace/trace.h"
 #include "util/stats.h"
@@ -49,7 +48,7 @@ double Enhancement(double base_total, double ours_total);
 
 class ExperimentRunner {
  public:
-  explicit ExperimentRunner(Ssd& ssd, bool closed_loop = true);
+  explicit ExperimentRunner(Ssd& ssd);
 
   /// Sequentially writes `bytes` (clipped to logical capacity) in
   /// `chunk_bytes` requests, then resets all statistics.  Returns the
@@ -61,27 +60,8 @@ class ExperimentRunner {
   ExperimentResult Replay(const std::vector<trace::TraceRecord>& records,
                           const std::string& workload_name);
 
-  /// Open-loop replay driven by the discrete-event engine: every request is
-  /// an arrival event at its trace timestamp regardless of completions.
-  /// With TimingMode::kQueued this exposes queueing delay under bursts (a
-  /// latency-vs-load study); with service-time accounting it matches
-  /// Replay(closed_loop=false).  Implemented on replay::ReplayEngine's
-  /// direct mode (streaming chained arrivals, O(1) pending events); see
-  /// src/replay/replay_engine.h for the host-interface-driven variant that
-  /// exposes queueing, scheduling, and QoS.
-  ExperimentResult ReplayOpenLoop(const std::vector<trace::TraceRecord>& records,
-                                  const std::string& workload_name);
-
  private:
-  /// Issues one (clipped) request and folds it into `result`; returns false
-  /// when the record was clipped away entirely.
-  bool IssueRecord(const trace::TraceRecord& record, Us arrival,
-                   ExperimentResult& result);
-  void FinalizeResult(ExperimentResult& result,
-                      const std::string& workload_name) const;
-
   Ssd& ssd_;
-  bool closed_loop_;
   Us clock_us_ = 0;  ///< completion time of the latest request
 };
 
@@ -129,43 +109,5 @@ struct QdSweepPoint {
 /// with pure service-time accounting queue depth cannot matter.
 std::vector<QdSweepPoint> RunQdSweep(const SsdConfig& config,
                                      const QdSweepOptions& options);
-
-// --- multi-tenant QoS sweeps (see src/qos/) --------------------------------
-
-/// Knobs for RunTenantQdSweep: a multi-tenant host configuration
-/// (HostConfig::qos must be populated) plus one workload per tenant.  Each
-/// sweep point rebuilds and prefills a fresh device, overrides every
-/// closed-loop workload's queue depth with the point's QD, and runs all
-/// tenants concurrently.
-struct TenantSweepOptions {
-  host::HostConfig host;
-  std::vector<host::TenantWorkload> workloads;
-  std::vector<std::uint32_t> queue_depths = {1, 2, 4, 8, 16};
-  std::uint32_t prefill_pct = 80;
-};
-
-/// One tenant at one queue depth: latency/throughput plus the QoS-engine
-/// telemetry (throttle counters, per-class dispatches, DRR deficits).
-struct TenantSweepPoint {
-  std::uint32_t queue_depth = 0;
-  qos::TenantId tenant = 0;
-  std::uint64_t requests = 0;
-  double iops = 0.0;
-  double mean_us = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  std::uint64_t throttled = 0;
-  Us throttle_wait_us = 0;
-  std::uint64_t read_dispatches = 0;
-  std::uint64_t write_dispatches = 0;
-  std::uint64_t read_deficit = 0;   ///< DRR state at end of run
-  std::uint64_t write_deficit = 0;
-};
-
-/// Multi-tenant closed/paced-loop sweep over queue depths; returns one
-/// point per (queue depth, workload) in sweep-then-workload order.
-std::vector<TenantSweepPoint> RunTenantQdSweep(
-    const SsdConfig& config, const TenantSweepOptions& options);
 
 }  // namespace ctflash::ssd

@@ -1,5 +1,6 @@
 // Campaign runner tests: determinism across worker counts and prefill
-// sharing modes, failed-arm capture, and report/CSV shape.  These use tiny
+// sharing modes, failed-arm capture, the open-loop workloads' `limit` and
+// `time_scale` keys, and report/CSV shape.  These use tiny
 // devices and short workloads — the full-scale equivalents live in
 // bench_campaign.
 #include <algorithm>
@@ -89,6 +90,37 @@ TEST(CampaignRunner, UnknownWorkloadKindIsPerArmError) {
   EXPECT_NE(result.arms[0].error.find("unknown workload kind"),
             std::string::npos)
       << result.arms[0].error;
+}
+
+TEST(CampaignRunner, TraceArmHonorsLimit) {
+  // The trace kind streams the CSV through the replay engine; `limit` caps
+  // the records replayed.
+  const std::string spec =
+      std::string(R"({"defaults": {"device_bytes": "32MiB",
+        "workload": {"kind": "trace", "limit": 50, "path": ")") +
+      CTFLASH_TEST_DATA_DIR + "/sample_msr.csv\"}}}";
+  const CampaignResult result =
+      CampaignRunner(CampaignSpec::Parse(spec)).Run(1);
+  ASSERT_EQ(result.arms.size(), 1u);
+  ASSERT_TRUE(result.arms[0].ok) << result.arms[0].error;
+  EXPECT_EQ(result.arms[0].metrics.Get("requests")->AsUint(), 50u);
+}
+
+TEST(CampaignRunner, NonFiniteTimeScaleFailsTheArm) {
+  // 1e999 parses as inf, which would warp every arrival to t = 0.
+  for (const char* time_scale : {"1e999", "0", "-1"}) {
+    const std::string spec =
+        std::string(R"({"defaults": {"device_bytes": "32MiB",
+          "workload": {"kind": "synthetic", "time_scale": )") +
+        time_scale + "}}}";
+    const CampaignResult result =
+        CampaignRunner(CampaignSpec::Parse(spec)).Run(1);
+    ASSERT_EQ(result.arms.size(), 1u);
+    EXPECT_FALSE(result.arms[0].ok) << time_scale;
+    EXPECT_NE(result.arms[0].error.find("time_scale must be finite and > 0"),
+              std::string::npos)
+        << time_scale << ": " << result.arms[0].error;
+  }
 }
 
 TEST(CampaignRunner, ReportAndCsvShape) {

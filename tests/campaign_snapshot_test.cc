@@ -38,13 +38,13 @@ void RunBurst(ssd::Ssd& ssd, Us start_us, const qos::QosConfig& qos) {
   host::HostInterface host(ssd, host_cfg);
   host.AdvanceTo(start_us);
   if (qos.tenants.empty()) {
-    host::ClosedLoopGenerator::Config gen;
-    gen.queue_depth = 8;
-    gen.total_requests = 3'000;
-    gen.read_fraction = 0.5;
-    gen.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
-    gen.seed = 5;
-    host::ClosedLoopGenerator(host, gen).Run();
+    host::TenantWorkload burst;
+    burst.queue_depth = 8;
+    burst.total_requests = 3'000;
+    burst.read_fraction = 0.5;
+    burst.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
+    burst.seed = 5;
+    host::LoadGenerator(host, {burst}).Run();
   } else {
     // Two tenants, the second IOPS-capped so pacing queues engage.
     std::vector<host::TenantWorkload> workloads(2);
@@ -61,7 +61,7 @@ void RunBurst(ssd::Ssd& ssd, Us start_us, const qos::QosConfig& qos) {
     workloads[1].footprint_base_bytes = ssd.LogicalBytes() / 100 * 30;
     workloads[1].footprint_bytes = ssd.LogicalBytes() / 100 * 30;
     workloads[1].seed = 6;
-    host::MultiTenantGenerator(host, workloads).Run();
+    host::LoadGenerator(host, workloads).Run();
   }
 }
 

@@ -41,15 +41,15 @@ Us Prefill(ssd::Ssd& ssd, std::uint32_t fraction_pct) {
   return runner.Prefill(ssd.LogicalBytes() / 100 * fraction_pct);
 }
 
-ClosedLoopGenerator::Config WriteBurst(const ssd::Ssd& ssd, double read_frac,
-                                       std::uint64_t requests) {
-  ClosedLoopGenerator::Config gen;
-  gen.queue_depth = 16;
-  gen.total_requests = requests;
-  gen.read_fraction = read_frac;
-  gen.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
-  gen.seed = 7;
-  return gen;
+TenantWorkload WriteBurst(const ssd::Ssd& ssd, double read_frac,
+                          std::uint64_t requests) {
+  TenantWorkload burst;
+  burst.queue_depth = 16;
+  burst.total_requests = requests;
+  burst.read_fraction = read_frac;
+  burst.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
+  burst.seed = 7;
+  return burst;
 }
 
 void ExpectGcConservation(ssd::Ssd& ssd, const HostInterface& host) {
@@ -72,7 +72,7 @@ TEST(GcQos, ScheduledConservationConventional) {
   const Us prefill_end = Prefill(ssd, 80);
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
-  ClosedLoopGenerator(host, WriteBurst(ssd, 0.2, 30000)).Run();
+  LoadGenerator(host, {WriteBurst(ssd, 0.2, 30000)}).Run();
   ExpectGcConservation(ssd, host);
   const auto& conv = dynamic_cast<const ftl::ConventionalFtl&>(ssd.ftl());
   EXPECT_TRUE(conv.CheckInvariants());
@@ -83,7 +83,7 @@ TEST(GcQos, ScheduledConservationPpb) {
   const Us prefill_end = Prefill(ssd, 80);
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
-  ClosedLoopGenerator(host, WriteBurst(ssd, 0.2, 30000)).Run();
+  LoadGenerator(host, {WriteBurst(ssd, 0.2, 30000)}).Run();
   ExpectGcConservation(ssd, host);
   ASSERT_NE(ssd.ppb(), nullptr);
   EXPECT_TRUE(ssd.ppb()->CheckInvariants());
@@ -99,7 +99,7 @@ TEST(GcQos, NoStarvationUnderSustainedWritesConventional) {
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
   ssd.ftl().ResetFreePoolWatermark();
-  ClosedLoopGenerator(host, WriteBurst(ssd, 0.0, 30000)).Run();
+  LoadGenerator(host, {WriteBurst(ssd, 0.0, 30000)}).Run();
   EXPECT_GT(ssd.ftl().stats().gc_erases, 0u);
   EXPECT_GE(ssd.ftl().blocks().MinFreeWatermark(),
             ssd.ftl().config().gc_threshold_low);
@@ -117,7 +117,7 @@ TEST(GcQos, NoStarvationUnderSustainedWritesPpb) {
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
   ssd.ftl().ResetFreePoolWatermark();
-  ClosedLoopGenerator(host, WriteBurst(ssd, 0.0, 30000)).Run();
+  LoadGenerator(host, {WriteBurst(ssd, 0.0, 30000)}).Run();
   EXPECT_GT(ssd.ftl().stats().gc_erases, 0u);
   EXPECT_GE(ssd.ftl().blocks().MinFreeWatermark(),
             ssd.ftl().config().gc_threshold_low);
@@ -139,7 +139,7 @@ TEST(GcQos, NoStarvationTightThresholdsPpb) {
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
   ssd.ftl().ResetFreePoolWatermark();
-  ClosedLoopGenerator(host, WriteBurst(ssd, 0.0, 30000)).Run();
+  LoadGenerator(host, {WriteBurst(ssd, 0.0, 30000)}).Run();
   EXPECT_GT(ssd.ftl().stats().gc_erases, 0u);
   EXPECT_GE(ssd.ftl().blocks().MinFreeWatermark(),
             ssd.ftl().config().gc_threshold_low);
@@ -185,7 +185,7 @@ TEST(GcQos, HostReadPreemptsQueuedGcCopies) {
     }
   });
 
-  ClosedLoopGenerator(host, WriteBurst(ssd, 0.0, 20000)).Run();
+  LoadGenerator(host, {WriteBurst(ssd, 0.0, 20000)}).Run();
 
   ASSERT_TRUE(probe_submitted) << "workload never produced a GC copy";
   ASSERT_NE(probe_read_pos, ~std::size_t{0}) << "probe read never dispatched";
@@ -211,7 +211,7 @@ TEST(GcQos, EraseNeverDispatchesBeforeItsCopies) {
   host.scheduler().OnDispatch([&](const FlashTransaction& txn) {
     if (sched::IsGc(txn.source)) gc_trace.push_back(txn);
   });
-  ClosedLoopGenerator(host, WriteBurst(ssd, 0.1, 30000)).Run();
+  LoadGenerator(host, {WriteBurst(ssd, 0.1, 30000)}).Run();
 
   ASSERT_FALSE(gc_trace.empty());
   std::uint64_t erased_jobs = 0;
@@ -237,7 +237,7 @@ TEST(GcQos, ScheduledReadLatencyBeatsInlineUnderGcPressure) {
     HostInterface host(ssd, HostConfig{});
     host.AdvanceTo(prefill_end);
     const LoadStats load =
-        ClosedLoopGenerator(host, WriteBurst(ssd, 0.5, 40000)).Run();
+        LoadGenerator(host, {WriteBurst(ssd, 0.5, 40000)}).Run().total;
     return std::tuple{load.read_latency.total_us(),
                       load.read_latency.p99_us(),
                       ssd.ftl().stats().gc_erases};
@@ -257,7 +257,7 @@ TEST(GcQos, ScheduledRoutingDeterministicAcrossRuns) {
     HostInterface host(ssd, HostConfig{});
     host.AdvanceTo(prefill_end);
     const LoadStats load =
-        ClosedLoopGenerator(host, WriteBurst(ssd, 0.3, 20000)).Run();
+        LoadGenerator(host, {WriteBurst(ssd, 0.3, 20000)}).Run().total;
     return std::tuple{load.end_us, load.read_latency.total_us(),
                       load.write_latency.total_us(),
                       ssd.ftl().stats().gc_erases,
@@ -306,7 +306,7 @@ TEST(GcQos, ScheduledGcTimeBoundedByMakespan) {
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
   const LoadStats load =
-      ClosedLoopGenerator(host, WriteBurst(ssd, 0.2, 30000)).Run();
+      LoadGenerator(host, {WriteBurst(ssd, 0.2, 30000)}).Run().total;
   EXPECT_GT(ssd.ftl().stats().gc_erases, 0u);
   EXPECT_GT(ssd.ftl().stats().gc_time_us, 0u);
   EXPECT_LE(ssd.ftl().stats().gc_time_us, load.end_us);

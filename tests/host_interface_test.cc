@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "host/load_generator.h"
+#include "replay/replay_engine.h"
+#include "replay/trace_source.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
 
@@ -38,15 +40,15 @@ TEST(HostInterface, ClosedLoopQd1MatchesSynchronousPath) {
   const Us prefill_end = Prefill(ssd_a, 50);
   HostInterface host(ssd_a, HostConfig{});
   host.AdvanceTo(prefill_end);
-  ClosedLoopGenerator::Config gen_cfg;
-  gen_cfg.queue_depth = 1;
-  gen_cfg.total_requests = 400;
-  gen_cfg.read_fraction = 0.7;
-  gen_cfg.request_bytes = 16 * 1024;  // one page: no splitting ambiguity
-  gen_cfg.footprint_bytes = ssd_a.LogicalBytes() / 2;
-  gen_cfg.seed = 7;
-  ClosedLoopGenerator generator(host, gen_cfg);
-  const LoadStats load = generator.Run();
+  TenantWorkload stream;
+  stream.queue_depth = 1;
+  stream.total_requests = 400;
+  stream.read_fraction = 0.7;
+  stream.request_bytes = 16 * 1024;  // one page: no splitting ambiguity
+  stream.footprint_bytes = ssd_a.LogicalBytes() / 2;
+  stream.seed = 7;
+  LoadGenerator generator(host, {stream});
+  const LoadStats load = generator.Run().total;
 
   ssd::Ssd ssd_b(cfg);
   const Us prefill_end_b = Prefill(ssd_b, 50);
@@ -171,14 +173,14 @@ TEST(HostInterface, OpenLoopArrivalsHonorTimestamps) {
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
 
-  std::vector<trace::TraceRecord> records = {
+  replay::VectorTraceSource records({
       {0, trace::OpType::kRead, 0, 16 * 1024},
       {1'000'000, trace::OpType::kRead, 16 * 1024, 16 * 1024},
-  };
-  OpenLoopGenerator generator(host, records);
-  const LoadStats load = generator.Run();
+  });
+  const replay::ReplayResult load =
+      replay::ReplayEngine(host, replay::ReplayEngineConfig{}).Run(records);
 
-  EXPECT_EQ(load.requests, 2u);
+  EXPECT_EQ(load.completed, 2u);
   // 1 s apart on an idle device: neither request queues behind the other,
   // so both see bare service time (well under a millisecond)...
   EXPECT_LT(load.read_latency.max_us(), 1000.0);

@@ -61,13 +61,13 @@ Fingerprint RunScenario(ssd::FtlKind kind, ftl::GcRouting routing) {
     fp.dispatch = Fold(fp.dispatch, txn.offset_bytes);
   });
 
-  host::ClosedLoopGenerator::Config gen;
-  gen.queue_depth = 16;
-  gen.total_requests = 30'000;
-  gen.read_fraction = 0.5;
-  gen.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
-  gen.seed = 77;
-  const host::LoadStats load = host::ClosedLoopGenerator(host, gen).Run();
+  host::TenantWorkload burst;
+  burst.queue_depth = 16;
+  burst.total_requests = 30'000;
+  burst.read_fraction = 0.5;
+  burst.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
+  burst.seed = 77;
+  const host::LoadStats load = host::LoadGenerator(host, {burst}).Run().total;
 
   // The burst must be GC-heavy, otherwise the dispatch stream cannot tell
   // the routings (or a QoS leak into the GC arbitration) apart.

@@ -96,13 +96,12 @@ TEST(IoScheduler, DieExclusivityNoOverlappingReservations) {
   }
   const Us run_start = host.queue().Now();
 
-  ClosedLoopGenerator::Config gen_cfg;
-  gen_cfg.queue_depth = 16;
-  gen_cfg.total_requests = 3000;
-  gen_cfg.read_fraction = 0.8;
-  gen_cfg.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
-  ClosedLoopGenerator generator(host, gen_cfg);
-  generator.Run();
+  TenantWorkload stream;
+  stream.queue_depth = 16;
+  stream.total_requests = 3000;
+  stream.read_fraction = 0.8;
+  stream.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
+  LoadGenerator(host, {stream}).Run();
 
   std::size_t active_dies = 0;
   for (std::size_t i = 0; i < dies.Count(); ++i) {
@@ -231,14 +230,14 @@ TEST(IoScheduler, ClosedLoopQd8DeterministicAcrossRuns) {
     const Us prefill_end = Prefill(ssd, 60);
     HostInterface host(ssd, HostConfig{});
     host.AdvanceTo(prefill_end);
-    ClosedLoopGenerator::Config gen_cfg;
-    gen_cfg.queue_depth = 8;
-    gen_cfg.total_requests = 2000;
-    gen_cfg.read_fraction = 0.75;
-    gen_cfg.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
-    gen_cfg.seed = 42;
-    ClosedLoopGenerator generator(host, gen_cfg);
-    const LoadStats load = generator.Run();
+    TenantWorkload stream;
+    stream.queue_depth = 8;
+    stream.total_requests = 2000;
+    stream.read_fraction = 0.75;
+    stream.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
+    stream.seed = 42;
+    LoadGenerator generator(host, {stream});
+    const LoadStats load = generator.Run().total;
     return std::tuple{generator.issued(), load.requests, load.end_us,
                       load.read_latency.total_us(),
                       load.write_latency.total_us(),

@@ -74,7 +74,7 @@ TEST(TenantQos, WeightedDrrTwoToOneThroughputUnderSaturation) {
   workloads[0].seed = 21;
   workloads[1].tenant = 1;
   workloads[1].seed = 22;
-  MultiTenantGenerator(host, workloads).Run();
+  LoadGenerator(host, workloads).Run();
 
   ASSERT_FALSE(counting) << "one tenant should exhaust its work";
   ASSERT_GT(dispatches[1], 0u);
@@ -84,8 +84,12 @@ TEST(TenantQos, WeightedDrrTwoToOneThroughputUnderSaturation) {
   EXPECT_LE(ratio, 2.2) << dispatches[0] << ":" << dispatches[1];
 }
 
-/// Paced (latency-sensitive) tenant 0 on a private working-set slice;
-/// optional flooder on tenant 1.  Returns tenant 0's read p99.
+/// Paced (latency-sensitive) reads on a private working-set slice plus an
+/// optional closed-loop flooder; returns the paced stream's read p99.  With
+/// tenants configured the paced stream is tenant 0 and the flooder tenant
+/// 1; with an empty `qos` both submit as tenant 0 through the seed
+/// single-tenant path, the flooder first, so its ready transactions compete
+/// with the paced reads on die keys alone.
 double PacedP99(const qos::QosConfig& qos, bool with_flooder) {
   ssd::Ssd ssd(SmallConfig());
   const Us prefill_end = Prefill(ssd, 80);
@@ -103,63 +107,25 @@ double PacedP99(const qos::QosConfig& qos, bool with_flooder) {
   paced.footprint_bytes = ssd.LogicalBytes() / 100 * 20;
   paced.seed = 31;
   std::vector<TenantWorkload> workloads = {paced};
+  std::size_t paced_index = 0;
   if (with_flooder) {
     TenantWorkload flooder;
-    flooder.tenant = 1;
     flooder.queue_depth = 32;
     flooder.total_requests = 40'000;
     flooder.read_fraction = 1.0;
     flooder.footprint_base_bytes = ssd.LogicalBytes() / 100 * 20;
     flooder.footprint_bytes = ssd.LogicalBytes() / 100 * 40;
     flooder.seed = 32;
-    workloads.push_back(flooder);
+    if (qos.Enabled()) {
+      flooder.tenant = 1;
+      workloads.push_back(flooder);
+    } else {
+      workloads.insert(workloads.begin(), flooder);
+      paced_index = 1;
+    }
   }
-  const auto results = MultiTenantGenerator(host, workloads).Run();
-  return results[0].load.read_latency.p99_us();
-}
-
-/// The same paced + flooder mix with NO tenants configured: both streams
-/// funnel through the seed single-tenant path, so the flooder's ready
-/// transactions compete with the paced reads on die keys alone.
-double PacedP99NoQos() {
-  ssd::Ssd ssd(SmallConfig());
-  const Us prefill_end = Prefill(ssd, 80);
-  HostConfig cfg;
-  cfg.device_slots = 4;
-  HostInterface host(ssd, cfg);
-  host.AdvanceTo(prefill_end);
-
-  const std::uint64_t request = 16 * 1024;
-  const std::uint64_t flood_base = ssd.LogicalBytes() / 100 * 20;
-  const std::uint64_t flood_span = ssd.LogicalBytes() / 100 * 40;
-  util::Xoshiro256StarStar rng(32);
-  std::uint64_t issued = 0;
-  // The chain closure outlives every pending completion (host.Run()
-  // returns drained), so callbacks capture it by plain pointer.
-  std::function<void()> submit_flood = [&, self = &submit_flood]() {
-    if (issued >= 40'000) return;
-    ++issued;
-    const std::uint64_t offset =
-        flood_base + rng.UniformBelow(flood_span / request) * request;
-    host.Submit(trace::OpType::kRead, offset, request,
-                [self](const HostCompletion&) { (*self)(); });
-  };
-  for (int i = 0; i < 32; ++i) submit_flood();
-
-  util::Xoshiro256StarStar paced_rng(31);
-  util::LatencyStats paced;
-  const std::uint64_t paced_span = ssd.LogicalBytes() / 100 * 20;
-  const Us t0 = host.queue().Now();
-  for (int i = 0; i < 400; ++i) {
-    const std::uint64_t offset =
-        paced_rng.UniformBelow(paced_span / request) * request;
-    host.SubmitAt(t0 + static_cast<Us>(i) * 2'000, trace::OpType::kRead,
-                  offset, request, [&paced](const HostCompletion& c) {
-                    paced.Add(c.LatencyUs());
-                  });
-  }
-  host.Run();
-  return paced.p99_us();
+  const auto results = LoadGenerator(host, workloads).Run().streams;
+  return results[paced_index].load.read_latency.p99_us();
 }
 
 TEST(TenantQos, NoisyNeighborIsolationBounded) {
@@ -170,7 +136,7 @@ TEST(TenantQos, NoisyNeighborIsolationBounded) {
   auto favored = TwoTenants(8, 1);
   const double solo = PacedP99(favored, /*with_flooder=*/false);
   const double with_qos = PacedP99(favored, /*with_flooder=*/true);
-  const double no_qos = PacedP99NoQos();
+  const double no_qos = PacedP99(qos::QosConfig{}, /*with_flooder=*/true);
   ASSERT_GT(solo, 0.0);
   EXPECT_LE(with_qos, 2.0 * solo)
       << "solo " << solo << " us, with qos " << with_qos << " us";
@@ -200,7 +166,7 @@ TEST(TenantQos, TokenBucketCapsFlooderIops) {
   flood.read_fraction = 1.0;
   flood.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
   flood.seed = 41;
-  const auto results = MultiTenantGenerator(host, {flood}).Run();
+  const auto results = LoadGenerator(host, {flood}).Run().streams;
 
   const double iops = results[0].load.Iops();
   EXPECT_LE(iops, 2'000.0 * 1.1) << "cap exceeded";
@@ -229,7 +195,7 @@ TEST(TenantQos, BytesBucketCapsThroughput) {
   flood.read_fraction = 1.0;
   flood.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
   flood.seed = 43;
-  const auto results = MultiTenantGenerator(host, {flood}).Run();
+  const auto results = LoadGenerator(host, {flood}).Run().streams;
   const double bytes_per_sec =
       static_cast<double>(results[0].load.requests) * 16.0 * 1024 /
       (static_cast<double>(results[0].load.MakespanUs()) / 1e6);
@@ -306,7 +272,7 @@ TEST(TenantQos, PerQueueBreakdownConserves) {
   only_b.read_fraction = 0.5;
   only_b.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
   only_b.seed = 51;
-  MultiTenantGenerator(host, {only_b}).Run();
+  LoadGenerator(host, {only_b}).Run();
 
   const auto& stats = host.stats();
   ASSERT_EQ(stats.per_queue.size(), 4u);
@@ -323,6 +289,11 @@ TEST(TenantQos, PerQueueBreakdownConserves) {
   EXPECT_EQ(stats.per_queue[1].admitted, 0u);
   EXPECT_GT(stats.per_queue[2].admitted, 0u);
   EXPECT_GT(stats.per_queue[3].admitted, 0u);
+  // The tenant table attributes every dispatch to its tenant.
+  const qos::TenantTable& table = *host.tenants();
+  EXPECT_EQ(table.StatsOf(0).read_dispatches, 0u);
+  EXPECT_GT(table.StatsOf(1).read_dispatches, 0u);
+  EXPECT_GT(table.StatsOf(1).write_dispatches, 0u);
 }
 
 TEST(TenantQos, MultiTenantRunDeterministic) {
@@ -346,7 +317,7 @@ TEST(TenantQos, MultiTenantRunDeterministic) {
     workloads[0].seed = 61;
     workloads[1].tenant = 1;
     workloads[1].seed = 62;
-    const auto results = MultiTenantGenerator(host, workloads).Run();
+    const auto results = LoadGenerator(host, workloads).Run().streams;
     std::vector<std::tuple<std::uint64_t, Us, double, double>> out;
     for (const auto& r : results) {
       out.emplace_back(r.load.requests, r.load.end_us,
@@ -356,28 +327,6 @@ TEST(TenantQos, MultiTenantRunDeterministic) {
     return out;
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(TenantQos, TenantQdSweepReportsPerTenantTelemetry) {
-  ssd::TenantSweepOptions options;
-  options.host.qos = TwoTenants(2, 1);
-  options.queue_depths = {4, 8};
-  TenantWorkload base;
-  base.total_requests = 600;
-  base.read_fraction = 1.0;
-  std::vector<TenantWorkload> workloads(2, base);
-  workloads[0].tenant = 0;
-  workloads[0].seed = 71;
-  workloads[1].tenant = 1;
-  workloads[1].seed = 72;
-  options.workloads = workloads;
-  const auto points = ssd::RunTenantQdSweep(SmallConfig(), options);
-  ASSERT_EQ(points.size(), 4u);  // 2 QDs x 2 tenants
-  for (const auto& point : points) {
-    EXPECT_GT(point.iops, 0.0);
-    EXPECT_GT(point.requests, 0u);
-    EXPECT_GT(point.read_dispatches, 0u);
-  }
 }
 
 TEST(TenantQos, ApiContracts) {
@@ -408,6 +357,16 @@ TEST(TenantQos, ApiContracts) {
     HostInterface host(ssd, cfg);
     EXPECT_THROW(host.SubmitAs(7, trace::OpType::kRead, 0, 4096),
                  std::out_of_range);
+    TenantWorkload stream;
+    stream.tenant = 2;
+    EXPECT_THROW(LoadGenerator(host, {stream}), std::out_of_range);
+  }
+  // Without tenants every generator stream is tenant 0.
+  {
+    HostInterface host(ssd, HostConfig{});
+    TenantWorkload stream;
+    stream.tenant = 1;
+    EXPECT_THROW(LoadGenerator(host, {stream}), std::out_of_range);
   }
 }
 

@@ -295,13 +295,13 @@ TEST(SchedulerObserver, EveryObserverSeesIdenticalDispatchContexts) {
   host.scheduler().AttachObserver(&a);
   host.scheduler().AttachObserver(&b);
 
-  host::ClosedLoopGenerator::Config gen;
-  gen.queue_depth = 8;
-  gen.total_requests = 2000;
-  gen.read_fraction = 0.5;
-  gen.footprint_bytes = ssd.LogicalBytes() / 2;
-  gen.seed = 11;
-  host::ClosedLoopGenerator(host, gen).Run();
+  host::TenantWorkload burst;
+  burst.queue_depth = 8;
+  burst.total_requests = 2000;
+  burst.read_fraction = 0.5;
+  burst.footprint_bytes = ssd.LogicalBytes() / 2;
+  burst.seed = 11;
+  host::LoadGenerator(host, {burst}).Run();
 
   ASSERT_FALSE(a.dispatches.empty());
   EXPECT_EQ(a.dispatches, b.dispatches)

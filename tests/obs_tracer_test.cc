@@ -35,16 +35,15 @@ Us Prefill(ssd::Ssd& ssd, std::uint32_t fraction_pct) {
   return runner.Prefill(ssd.LogicalBytes() / 100 * fraction_pct);
 }
 
-host::ClosedLoopGenerator::Config MixedBurst(const ssd::Ssd& ssd,
-                                             double read_frac,
-                                             std::uint64_t requests) {
-  host::ClosedLoopGenerator::Config gen;
-  gen.queue_depth = 16;
-  gen.total_requests = requests;
-  gen.read_fraction = read_frac;
-  gen.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
-  gen.seed = 7;
-  return gen;
+host::TenantWorkload MixedBurst(const ssd::Ssd& ssd, double read_frac,
+                                std::uint64_t requests) {
+  host::TenantWorkload burst;
+  burst.queue_depth = 16;
+  burst.total_requests = requests;
+  burst.read_fraction = read_frac;
+  burst.footprint_bytes = ssd.LogicalBytes() / 100 * 60;
+  burst.seed = 7;
+  return burst;
 }
 
 TEST(ObsTracer, ConservationHoldsForEveryRequest) {
@@ -60,7 +59,7 @@ TEST(ObsTracer, ConservationHoldsForEveryRequest) {
   host.AttachTracer(&tracer);
 
   const host::LoadStats load =
-      host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.5, 20000)).Run();
+      host::LoadGenerator(host, {MixedBurst(ssd, 0.5, 20000)}).Run().total;
 
   ASSERT_EQ(tracer.requests().size(), 20000u);
   for (const PhaseRecord& r : tracer.requests()) {
@@ -100,7 +99,7 @@ TEST(ObsTracer, GcPressureAttributesReadStallToGcByName) {
   Tracer tracer(tc);
   host.AttachTracer(&tracer);
 
-  host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.5, 30000)).Run();
+  host::LoadGenerator(host, {MixedBurst(ssd, 0.5, 30000)}).Run();
   ASSERT_GT(ssd.ftl().stats().gc_erases, 0u) << "burst was expected to GC";
 
   const PhaseBreakdown& read = tracer.phases().read;
@@ -121,7 +120,7 @@ TEST(ObsTracer, WriteHoldAttributedUnderSustainedWrites) {
   Tracer tracer(tc);
   host.AttachTracer(&tracer);
 
-  host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.0, 30000)).Run();
+  host::LoadGenerator(host, {MixedBurst(ssd, 0.0, 30000)}).Run();
   ASSERT_GT(host.scheduler().WriteHoldPicks(), 0u)
       << "the admission guard was expected to engage";
 
@@ -153,7 +152,7 @@ TEST(ObsTracer, AttachingTracerNeverChangesDispatchOrder) {
     if (with_tracer) host.AttachTracer(&tracer);
 
     const host::LoadStats load =
-        host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.3, 10000)).Run();
+        host::LoadGenerator(host, {MixedBurst(ssd, 0.3, 10000)}).Run().total;
     return std::tuple{std::move(order), load.end_us,
                       load.read_latency.total_us(),
                       load.write_latency.total_us(),
@@ -177,13 +176,13 @@ TEST(ObsTracer, OnDispatchReplacementDetachesOldCallback) {
       [&](const sched::FlashTransaction&) { ++first; });
   host.scheduler().OnDispatch(
       [&](const sched::FlashTransaction&) { ++second; });
-  host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.5, 200)).Run();
+  host::LoadGenerator(host, {MixedBurst(ssd, 0.5, 200)}).Run();
   EXPECT_EQ(first, 0u) << "replaced callback must stop firing";
   EXPECT_GT(second, 0u);
 
   // Clearing the callback detaches the adapter entirely.
   host.scheduler().OnDispatch(nullptr);
-  host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.5, 200)).Run();
+  host::LoadGenerator(host, {MixedBurst(ssd, 0.5, 200)}).Run();
   EXPECT_GT(second, 0u);
 }
 
@@ -200,7 +199,7 @@ TEST(ObsTracer, EpochRowsTileTheRunAndMergeToTheAggregate) {
   Tracer tracer(tc);
   host.AttachTracer(&tracer);
 
-  host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.5, 10000)).Run();
+  host::LoadGenerator(host, {MixedBurst(ssd, 0.5, 10000)}).Run();
 
   ASSERT_FALSE(tracer.epoch_phases().empty());
   PhaseStats merged;

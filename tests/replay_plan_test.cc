@@ -3,6 +3,7 @@
 // and deterministic K-way tenant merge with ties broken by source index.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -162,6 +163,48 @@ TEST(TimeWarp, RateTargetResolvesFromNativeRate) {
   EXPECT_DOUBLE_EQ(warp.acceleration, 20.0);
   EXPECT_EQ(warp.target_iops, 0.0);  // resolved
   EXPECT_EQ(warp.Warp(1'000'000), 50'000);
+}
+
+TEST(TimeWarp, RejectsNonFiniteFactors) {
+  // inf acceleration warped every timestamp to 0; a NaN or inf rate target
+  // resolved to a NaN (INT64_MIN timestamps) or inf acceleration.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double acceleration : {inf, nan, -inf, 0.0}) {
+    TimeWarpConfig warp;
+    warp.acceleration = acceleration;
+    EXPECT_THROW(warp.Validate(), std::invalid_argument) << acceleration;
+  }
+  for (const double target : {inf, nan, -1.0}) {
+    TimeWarpConfig warp;
+    warp.target_iops = target;
+    EXPECT_THROW(warp.Validate(), std::invalid_argument) << target;
+    EXPECT_THROW(warp.ResolveRateTarget(1000, 1'000'000),
+                 std::invalid_argument)
+        << target;
+  }
+  // AddSource validates the warp it is handed.
+  ReplayPlan plan;
+  SourceOptions options;
+  options.warp.acceleration = inf;
+  EXPECT_THROW(plan.AddSource(std::make_unique<VectorTraceSource>(
+                                  std::vector<trace::TraceRecord>{}),
+                              options),
+               std::invalid_argument);
+}
+
+TEST(TimeWarp, RateTargetRejectsOverflowingRatio) {
+  // Finite inputs whose ratio overflows (or underflows to 0) must not
+  // resolve: 1 record over ~292k years is a near-zero native rate.
+  TimeWarpConfig fast;
+  fast.target_iops = 1e300;
+  EXPECT_THROW(fast.ResolveRateTarget(1, std::numeric_limits<Us>::max()),
+               std::invalid_argument);
+  EXPECT_EQ(fast.acceleration, 1.0);  // left untouched
+
+  TimeWarpConfig slow;
+  slow.target_iops = 1e-320;
+  EXPECT_THROW(slow.ResolveRateTarget(1'000'000, 1), std::invalid_argument);
 }
 
 TEST(TimeWarp, UnresolvedRateTargetThrowsAtPull) {

@@ -81,7 +81,7 @@ TEST(ExperimentRunner, OutOfRangeRecordsWrapAndClip) {
 
 TEST(ExperimentRunner, ClosedLoopNeverOverlapsRequests) {
   Ssd ssd(Cfg());
-  ExperimentRunner runner(ssd, /*closed_loop=*/true);
+  ExperimentRunner runner(ssd);
   runner.Prefill(ssd.LogicalBytes() / 2);
   // All arrivals at t=0: closed loop serializes them.
   std::vector<trace::TraceRecord> recs;
