@@ -13,7 +13,10 @@
 //   3. host pipeline, deep: the perfbench deep_queue device (4 channels,
 //      scheduled GC, 8 write frontiers, 90 % prefill) at QD 512 over 8
 //      queues with 70 % reads, so hundreds of transactions wait at every
-//      scheduler pick.
+//      scheduler pick;
+//   4. the deep arm again with a phases-only obs::Tracer attached, so the
+//      report carries what attribution costs when it is on
+//      (traced_to_untraced_ns_ratio, banded by bench_check).
 //
 // The floors are ~20x below the Release-build rates measured on one
 // 2025-era core, so slow CI runners and modest regressions pass while a
@@ -42,6 +45,7 @@
 #include "campaign/json.h"
 #include "host/host_interface.h"
 #include "host/load_generator.h"
+#include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
@@ -131,6 +135,8 @@ struct PipelineArm {
   std::uint64_t prefill_pct = 80;
   std::uint32_t queue_depth = 32;
   double read_fraction = 1.0;
+  /// Attach a phases-only tracer (record_spans = false) for the run.
+  bool traced = false;
 };
 
 /// Closed-loop random requests through the full host pipeline on a
@@ -143,8 +149,12 @@ PipelineRates HostPipelineRate(const PipelineArm& arm, std::uint64_t requests) {
       ssd.LogicalBytes() / 100 * arm.prefill_pct;
   const Us prefill_end = prefiller.Prefill(prefill_bytes);
 
+  ctflash::obs::TracerConfig tracer_config;
+  tracer_config.record_spans = false;
+  ctflash::obs::Tracer tracer(tracer_config);  // outlives `host`
   ctflash::host::HostInterface host(ssd, arm.host);
   host.AdvanceTo(prefill_end);
+  if (arm.traced) host.AttachTracer(&tracer);
 
   ctflash::host::TenantWorkload stream;
   stream.queue_depth = arm.queue_depth;
@@ -245,6 +255,15 @@ int main(int argc, char** argv) {
             << " ns/txn, " << depth_ratio << "x the shallow arm (ceiling "
             << kDepthRatioCeiling << "x)\n";
 
+  PipelineArm traced_arm = DeepArm();
+  traced_arm.traced = true;
+  const PipelineRates traced =
+      FastestPipelineRate(traced_arm, options.requests);
+  const double traced_ratio = traced.ns_per_txn / deep.ns_per_txn;
+  std::cout << "traced deep pipeline: phases-only tracer -> "
+            << traced.ns_per_txn << " ns/txn, " << traced_ratio
+            << "x the untraced deep arm\n";
+
   bool ok = true;
   if (options.assert_floors) {
     if (event_rate < kEventQueueFloorPerSec) {
@@ -279,6 +298,8 @@ int main(int argc, char** argv) {
   report["deep_pipeline_ns_per_txn"] = deep.ns_per_txn;
   report["deep_to_shallow_ns_ratio"] = depth_ratio;
   report["deep_ratio_ceiling"] = kDepthRatioCeiling;
+  report["traced_deep_ns_per_txn"] = traced.ns_per_txn;
+  report["traced_to_untraced_ns_ratio"] = traced_ratio;
   report["asserted"] = options.assert_floors;
   std::ofstream out(options.json_path);
   out << report.Dump(2) << "\n";

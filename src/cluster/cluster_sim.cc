@@ -195,13 +195,13 @@ void ClusterSim::RunDeviceEpoch(Device& dev, std::uint32_t epoch, Us until) {
         } else {
           ++dev.submitted_writes;
         }
-        const bool is_read = op.is_read;
+        // Two pointers: the callback stays in std::function's small buffer.
         dev.host->SubmitAtAs(
             op.at, kUserTenant, kind, op.offset, op.bytes,
-            [this, &dev, is_read](const host::HostCompletion& c) {
+            [this, &dev](const host::HostCompletion& c) {
               const std::uint32_t e = EpochOf(c.completion_us);
               const Us lat = c.LatencyUs();
-              if (is_read) {
+              if (c.request.op == trace::OpType::kRead) {
                 dev.epoch_read[e].Add(lat);
                 dev.run_read.Add(lat);
                 ++dev.completed_reads;

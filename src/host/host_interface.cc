@@ -67,6 +67,32 @@ void HostInterface::AttachTracer(obs::Tracer* tracer) {
   }
 }
 
+std::uint32_t HostInterface::NewRequest(trace::OpType op,
+                                        std::uint64_t offset_bytes,
+                                        std::uint64_t size_bytes,
+                                        CompletionCallback cb) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.request.id = next_id_++;
+  s.request.op = op;
+  s.request.offset_bytes = offset_bytes;
+  s.request.size_bytes = size_bytes;
+  s.request.submit_us = queue_.Now();
+  s.cb = std::move(cb);
+  s.pages = 0;
+  s.pages_left = 0;
+  s.completion_us = 0;
+  stats_.submitted++;
+  return slot;
+}
+
 std::uint64_t HostInterface::Submit(trace::OpType op,
                                     std::uint64_t offset_bytes,
                                     std::uint64_t size_bytes,
@@ -76,16 +102,12 @@ std::uint64_t HostInterface::Submit(trace::OpType op,
     // tenant 0 so they still obey its limits and weights.
     return SubmitAs(0, op, offset_bytes, size_bytes, std::move(cb));
   }
-  HostRequest request;
-  request.id = next_id_++;
-  request.op = op;
-  request.offset_bytes = offset_bytes;
-  request.size_bytes = size_bytes;
-  request.submit_us = queue_.Now();
-  stats_.submitted++;
+  const std::uint32_t slot =
+      NewRequest(op, offset_bytes, size_bytes, std::move(cb));
+  const std::uint64_t id = slots_[slot].request.id;
   if (tracer_ != nullptr) {
-    tracer_->OnSubmit(request.id, op == trace::OpType::kRead, qos::kNoTenant,
-                      request.submit_us);
+    tracer_->OnSubmit(slot, id, op == trace::OpType::kRead, qos::kNoTenant,
+                      queue_.Now());
   }
 
   // Round-robin queue placement; fall through to the first queue with a
@@ -95,14 +117,14 @@ std::uint64_t HostInterface::Submit(trace::OpType op,
   for (std::uint32_t probe = 0; probe < config_.num_queues; ++probe) {
     const std::uint32_t qid = (start + probe) % config_.num_queues;
     if (queue_fill_[qid] < config_.queue_capacity) {
-      Admit(request, qid, std::move(cb));
-      return request.id;
+      Admit(slot, qid);
+      return id;
     }
   }
   stats_.backlogged++;
-  if (tracer_ != nullptr) tracer_->OnBacklogged(request.id);
-  backlog_.emplace_back(request, std::move(cb));
-  return request.id;
+  if (tracer_ != nullptr) tracer_->OnBacklogged(slot, id);
+  backlog_.push_back(slot);
+  return id;
 }
 
 void HostInterface::SubmitAt(Us at, trace::OpType op,
@@ -125,20 +147,16 @@ std::uint64_t HostInterface::SubmitAs(qos::TenantId tenant, trace::OpType op,
     throw std::out_of_range("HostInterface: unknown tenant " +
                             std::to_string(tenant));
   }
-  HostRequest request;
-  request.id = next_id_++;
-  request.op = op;
-  request.offset_bytes = offset_bytes;
-  request.size_bytes = size_bytes;
-  request.submit_us = queue_.Now();
-  stats_.submitted++;
+  const std::uint32_t slot =
+      NewRequest(op, offset_bytes, size_bytes, std::move(cb));
+  const std::uint64_t id = slots_[slot].request.id;
+  const Us now = queue_.Now();
   if (tracer_ != nullptr) {
-    tracer_->OnSubmit(request.id, op == trace::OpType::kRead, tenant,
-                      request.submit_us);
+    tracer_->OnSubmit(slot, id, op == trace::OpType::kRead, tenant, now);
   }
   auto& tstats = tenants_->StatsOf(tenant);
   tstats.submitted++;
-  if (tstats.first_submit_us < 0) tstats.first_submit_us = request.submit_us;
+  if (tstats.first_submit_us < 0) tstats.first_submit_us = now;
 
   if (tenants_->Limited(tenant)) {
     auto& pace = pace_queues_[tenant];
@@ -146,23 +164,22 @@ std::uint64_t HostInterface::SubmitAs(qos::TenantId tenant, trace::OpType op,
       // FIFO behind earlier throttled work; its wake event is already
       // armed and will drain this request in turn.
       tstats.throttled++;
-      if (tracer_ != nullptr) tracer_->OnThrottled(request.id);
-      pace.emplace_back(request, std::move(cb));
-      return request.id;
+      if (tracer_ != nullptr) tracer_->OnThrottled(slot, id);
+      pace.push_back(slot);
+      return id;
     }
-    const Us now = queue_.Now();
     const Us at = tenants_->AdmissionAt(tenant, now, size_bytes);
     if (at > now) {
       tstats.throttled++;
-      if (tracer_ != nullptr) tracer_->OnThrottled(request.id);
-      pace.emplace_back(request, std::move(cb));
+      if (tracer_ != nullptr) tracer_->OnThrottled(slot, id);
+      pace.push_back(slot);
       queue_.ScheduleAt(at, [this, tenant](Us) { PumpPaceQueue(tenant); });
-      return request.id;
+      return id;
     }
     tenants_->ChargeAdmission(tenant, now, size_bytes);
   }
-  PlaceTenantRequest(tenant, request, std::move(cb));
-  return request.id;
+  PlaceTenantRequest(tenant, slot);
+  return id;
 }
 
 void HostInterface::SubmitAtAs(Us at, qos::TenantId tenant, trace::OpType op,
@@ -179,23 +196,22 @@ void HostInterface::PumpPaceQueue(qos::TenantId tenant) {
   auto& pace = pace_queues_[tenant];
   while (!pace.empty()) {
     const Us now = queue_.Now();
-    const Us at =
-        tenants_->AdmissionAt(tenant, now, pace.front().first.size_bytes);
+    const std::uint32_t slot = pace.front();
+    const HostRequest& request = slots_[slot].request;
+    const Us at = tenants_->AdmissionAt(tenant, now, request.size_bytes);
     if (at > now) {
       queue_.ScheduleAt(at, [this, tenant](Us) { PumpPaceQueue(tenant); });
       return;
     }
-    auto [request, cb] = std::move(pace.front());
     pace.pop_front();
     tenants_->ChargeAdmission(tenant, now, request.size_bytes);
     tenants_->StatsOf(tenant).throttle_wait_us += now - request.submit_us;
-    PlaceTenantRequest(tenant, std::move(request), std::move(cb));
+    PlaceTenantRequest(tenant, slot);
   }
 }
 
 void HostInterface::PlaceTenantRequest(qos::TenantId tenant,
-                                       HostRequest request,
-                                       CompletionCallback cb) {
+                                       std::uint32_t slot) {
   // Round-robin within the tenant's own queues with fall-through, the
   // tenant-local analogue of the global placement in Submit.
   const auto& queues = tenants_->ConfigOf(tenant).queues;
@@ -205,21 +221,26 @@ void HostInterface::PlaceTenantRequest(qos::TenantId tenant,
   for (std::uint32_t probe = 0; probe < count; ++probe) {
     const std::uint32_t qid = queues[(start + probe) % count];
     if (queue_fill_[qid] < config_.queue_capacity) {
-      Admit(std::move(request), qid, std::move(cb));
+      Admit(slot, qid);
       return;
     }
   }
   stats_.backlogged++;
-  if (tracer_ != nullptr) tracer_->OnBacklogged(request.id);
-  tenant_backlogs_[tenant].emplace_back(std::move(request), std::move(cb));
+  if (tracer_ != nullptr) tracer_->OnBacklogged(slot, slots_[slot].request.id);
+  tenant_backlogs_[tenant].push_back(slot);
 }
 
-void HostInterface::Admit(HostRequest request, std::uint32_t qid,
-                          CompletionCallback cb) {
+void HostInterface::Admit(std::uint32_t slot, std::uint32_t qid) {
   queue_fill_[qid]++;
   outstanding_++;
   stats_.per_queue[qid].admitted++;
-  if (tracer_ != nullptr) tracer_->OnAdmit(request.id, qid, queue_.Now());
+  // Admission never submits, so `s` stays valid throughout.
+  Slot& s = slots_[slot];
+  const HostRequest& request = s.request;
+  s.qid = qid;
+  if (tracer_ != nullptr) {
+    tracer_->OnAdmit(slot, request.id, qid, queue_.Now());
+  }
   const qos::TenantId tenant =
       tenants_ ? tenants_->TenantOfQueue(qid) : qos::kNoTenant;
 
@@ -231,27 +252,20 @@ void HostInterface::Admit(HostRequest request, std::uint32_t qid,
   if (offset >= logical) offset %= logical;
   if (offset + size > logical) size = logical - offset;
 
-  Pending pending;
-  pending.request = request;
-  pending.qid = qid;
-  pending.cb = std::move(cb);
-
   if (size == 0) {
     // Clipped away entirely: carries no flash work, completes instantly —
     // still via the event queue so callback ordering stays deterministic.
-    pending.completion_us = queue_.Now();
-    pending_.emplace(request.id, std::move(pending));
+    s.completion_us = queue_.Now();
     queue_.ScheduleAt(queue_.Now(),
-                      [this, id = request.id](Us) { FinalizeRequest(id); });
+                      [this, slot](Us) { FinalizeRequest(slot); });
     return;
   }
 
   const std::uint32_t page = ssd_.config().geometry.page_size_bytes;
   const Lpn first = offset / page;
   const Lpn last = (offset + size - 1) / page;
-  pending.pages = static_cast<std::uint32_t>(last - first + 1);
-  pending.pages_left = pending.pages;
-  pending_.emplace(request.id, std::move(pending));
+  s.pages = static_cast<std::uint32_t>(last - first + 1);
+  s.pages_left = s.pages;
 
   for (Lpn lpn = first; lpn <= last; ++lpn) {
     const std::uint64_t page_start = lpn * page;
@@ -264,6 +278,7 @@ void HostInterface::Admit(HostRequest request, std::uint32_t qid,
                      ? sched::TxnSource::kHostRead
                      : sched::TxnSource::kHostWrite;
     txn.tenant = tenant;
+    txn.host_slot = slot;
     txn.offset_bytes = lo;
     txn.size_bytes = hi - lo;
     txn.lpn = lpn;
@@ -273,65 +288,68 @@ void HostInterface::Admit(HostRequest request, std::uint32_t qid,
 
 void HostInterface::OnTxnComplete(const FlashTransaction& txn,
                                   const ftl::RequestResult& result) {
-  auto it = pending_.find(txn.request_id);
-  CTFLASH_CHECK(it != pending_.end());
-  Pending& pending = it->second;
+  CTFLASH_CHECK(txn.host_slot < slots_.size());
+  Slot& s = slots_[txn.host_slot];
+  CTFLASH_CHECK(s.request.id == txn.request_id);
   stats_.transactions_completed++;
-  if (result.completion_us > pending.completion_us) {
-    pending.completion_us = result.completion_us;
+  if (result.completion_us > s.completion_us) {
+    s.completion_us = result.completion_us;
   }
-  CTFLASH_CHECK(pending.pages_left > 0);
-  if (--pending.pages_left == 0) FinalizeRequest(txn.request_id);
+  CTFLASH_CHECK(s.pages_left > 0);
+  if (--s.pages_left == 0) FinalizeRequest(txn.host_slot);
 }
 
-void HostInterface::FinalizeRequest(std::uint64_t id) {
-  auto it = pending_.find(id);
-  CTFLASH_CHECK(it != pending_.end());
-  // Move out before erasing: the callback and the backlog admission below
-  // may submit new requests and mutate pending_.
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
+void HostInterface::FinalizeRequest(std::uint32_t slot) {
+  CTFLASH_CHECK(slot < slots_.size());
+  Slot& s = slots_[slot];
+  HostCompletion completion;
+  completion.request = s.request;
+  completion.completion_us = s.completion_us;
+  completion.pages = s.pages;
+  const std::uint32_t qid = s.qid;
+  // Free the slot before anything below can submit: the backlog admission
+  // and the callback may take slots, this one included.
+  const CompletionCallback cb = std::move(s.cb);
+  free_slots_.push_back(slot);
 
   outstanding_--;
-  queue_fill_[pending.qid]--;
+  queue_fill_[qid]--;
   stats_.completed++;
-  HostCompletion completion;
-  completion.request = pending.request;
-  completion.completion_us = pending.completion_us;
-  completion.pages = pending.pages;
   if (tracer_ != nullptr) {
-    tracer_->OnRequestComplete(id, completion.completion_us);
+    tracer_->OnRequestComplete(slot, completion.request.id,
+                               completion.completion_us);
   }
-  const bool is_read = pending.request.op == trace::OpType::kRead;
+  const bool is_read = completion.request.op == trace::OpType::kRead;
   const Us latency_us = completion.LatencyUs();
   (is_read ? stats_.read_latency : stats_.write_latency).Add(latency_us);
-  QueueStats& qstats = stats_.per_queue[pending.qid];
+  QueueStats& qstats = stats_.per_queue[qid];
   qstats.completed++;
-  qstats.bytes_completed += pending.request.size_bytes;
+  qstats.bytes_completed += completion.request.size_bytes;
   (is_read ? qstats.read_latency : qstats.write_latency).Add(latency_us);
 
   if (tenants_) {
-    const qos::TenantId tenant = tenants_->TenantOfQueue(pending.qid);
+    const qos::TenantId tenant = tenants_->TenantOfQueue(qid);
     auto& tstats = tenants_->StatsOf(tenant);
     tstats.completed++;
-    tstats.bytes_completed += pending.request.size_bytes;
+    tstats.bytes_completed += completion.request.size_bytes;
     (is_read ? tstats.read_latency : tstats.write_latency).Add(latency_us);
     if (completion.completion_us > tstats.last_completion_us) {
       tstats.last_completion_us = completion.completion_us;
     }
-    // The freed slot belongs to this tenant's queue: its backlog refills it.
+    // The freed queue slot belongs to this tenant's queue: its backlog
+    // refills it.
     auto& backlog = tenant_backlogs_[tenant];
     if (!backlog.empty()) {
-      auto [request, cb] = std::move(backlog.front());
+      const std::uint32_t next = backlog.front();
       backlog.pop_front();
-      Admit(std::move(request), pending.qid, std::move(cb));
+      Admit(next, qid);
     }
   } else if (!backlog_.empty()) {
-    auto [request, cb] = std::move(backlog_.front());
+    const std::uint32_t next = backlog_.front();
     backlog_.pop_front();
-    Admit(std::move(request), pending.qid, std::move(cb));
+    Admit(next, qid);
   }
-  if (pending.cb) pending.cb(completion);
+  if (cb) cb(completion);
 }
 
 }  // namespace ctflash::host

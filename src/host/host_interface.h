@@ -19,6 +19,19 @@
 // events, which makes runs bit-for-bit deterministic.  Construct the Ssd
 // with TimingMode::kQueued — with pure service-time accounting there is no
 // contention and queue depth cannot matter.
+//
+// Request slots (not to be confused with submission-queue slots): from
+// submission to completion every request owns one record of a pool (a
+// vector plus a free list) holding the request, its completion callback
+// and its page count.  The pacing queues and backlogs hold slot indices,
+// each page transaction carries its slot (FlashTransaction::host_slot),
+// and the tracer files its per-request state under the same index — so
+// the request path does no hashing, and in steady state no heap
+// allocation beyond what the caller's callback needs.  A completed
+// request's slot is free before its callback runs, so a closed loop's next
+// request reuses it.  Request ids stay public and monotonic and are never
+// reused.
+//
 // Multi-tenant QoS (HostConfig::qos): tenants own disjoint submission
 // queues and submit through SubmitAs/SubmitAtAs.  Admission applies the
 // tenant's token buckets first — a rate-limited request waits in a
@@ -32,7 +45,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "host/io_scheduler.h"
@@ -151,30 +163,34 @@ class HostInterface {
   obs::Tracer* tracer() { return tracer_; }
 
  private:
-  struct Pending {
+  /// One request from submission to completion.
+  struct Slot {
     HostRequest request;
-    std::uint32_t qid = 0;
+    CompletionCallback cb;
+    std::uint32_t qid = 0;  ///< submission queue once admitted
     std::uint32_t pages = 0;
     std::uint32_t pages_left = 0;
     Us completion_us = 0;
-    CompletionCallback cb;
   };
 
+  /// Takes a free slot for a new request and stamps its id and submission
+  /// time.
+  std::uint32_t NewRequest(trace::OpType op, std::uint64_t offset_bytes,
+                           std::uint64_t size_bytes, CompletionCallback cb);
   /// Places the request in submission queue `qid` and hands its page
   /// transactions to the scheduler.
-  void Admit(HostRequest request, std::uint32_t qid, CompletionCallback cb);
+  void Admit(std::uint32_t slot, std::uint32_t qid);
   /// Tenant placement: round-robin over the tenant's queues with
   /// fall-through; full queues push to the tenant's backlog.
-  void PlaceTenantRequest(qos::TenantId tenant, HostRequest request,
-                          CompletionCallback cb);
+  void PlaceTenantRequest(qos::TenantId tenant, std::uint32_t slot);
   /// Drains `tenant`'s pacing queue while its buckets allow, rescheduling
   /// itself at the next admission time otherwise.
   void PumpPaceQueue(qos::TenantId tenant);
   void OnTxnComplete(const FlashTransaction& txn,
                      const ftl::RequestResult& result);
   /// Retires a fully completed request: stats, queue slot, backlog pull,
-  /// completion callback.
-  void FinalizeRequest(std::uint64_t id);
+  /// request slot, completion callback.
+  void FinalizeRequest(std::uint32_t slot);
 
   ssd::Ssd& ssd_;
   HostConfig config_;
@@ -183,17 +199,16 @@ class HostInterface {
   std::unique_ptr<qos::TenantTable> tenants_;
   IoScheduler scheduler_;
   HostStats stats_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  std::vector<Slot> slots_;                ///< request slot pool
+  std::vector<std::uint32_t> free_slots_;  ///< free request slots
   std::vector<std::uint32_t> queue_fill_;  ///< occupancy per submission queue
-  std::deque<std::pair<HostRequest, CompletionCallback>> backlog_;
+  std::deque<std::uint32_t> backlog_;      ///< slots, in arrival order
   /// Per-tenant state (sized TenantCount() in multi-tenant mode, else
   /// empty): rate-limit pacing queues (FIFO; at most one wake event armed
   /// per tenant), queue-placement cursors, and full-queue backlogs.
-  std::vector<std::deque<std::pair<HostRequest, CompletionCallback>>>
-      pace_queues_;
+  std::vector<std::deque<std::uint32_t>> pace_queues_;
   std::vector<std::uint32_t> tenant_rr_;
-  std::vector<std::deque<std::pair<HostRequest, CompletionCallback>>>
-      tenant_backlogs_;
+  std::vector<std::deque<std::uint32_t>> tenant_backlogs_;
   std::uint64_t next_id_ = 1;
   std::uint32_t rr_next_queue_ = 0;
   std::uint32_t outstanding_ = 0;

@@ -24,7 +24,8 @@ class CallbackObserver final : public sched::SchedulerObserver {
                   const sched::DispatchContext&) override {
     cb_(txn);
   }
-  void OnTxnExecuted(const sched::FlashTransaction&, Us, Us) override {}
+  void OnTxnExecuted(const sched::FlashTransaction&, std::uint32_t, Us,
+                     Us) override {}
 
  private:
   IoScheduler::DispatchCallback cb_;
@@ -493,52 +494,60 @@ void IoScheduler::Dispatch(std::uint32_t node) {
                                  : qos::ArbClass::kWrite);
     }
   }
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_txns_.size());
+    in_flight_txns_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
   if (!observers_.empty()) {
     // ContextOf re-resolves the die availability the pick just keyed on;
     // only observers pay for it.
-    const sched::DispatchContext ctx = ContextOf(rt);
+    sched::DispatchContext ctx = ContextOf(rt);
+    ctx.slot = slot;
     for (auto* o : observers_) o->OnDispatch(txn, ctx);
   }
-  // SubmitRead/SubmitWrite/SubmitGc service the transaction on the
-  // resource timelines immediately and fire `done` as a completion event,
-  // so Pump never re-enters itself.  RequestResult::arrival_us is the
-  // dispatch time (the Ssd services at queue_.Now()).
+  // The device services the transaction on the resource timelines now
+  // (RequestResult::arrival_us is the dispatch time) and the completion
+  // fires as an event, so Pump never re-enters itself.
+  const Us now = queue_.Now();
+  ftl::RequestResult result;
   switch (txn.source) {
     case sched::TxnSource::kHostRead:
-      ssd_.SubmitRead(txn.offset_bytes, txn.size_bytes, queue_,
-                      [this, txn](const ftl::RequestResult& r) {
-                        --in_flight_;
-                        for (auto* o : observers_) {
-                          o->OnTxnExecuted(txn, r.arrival_us, r.completion_us);
-                        }
-                        if (on_complete_) on_complete_(txn, r);
-                        Pump();
-                      });
+      result = ssd_.Read(txn.offset_bytes, txn.size_bytes, now);
       break;
     case sched::TxnSource::kHostWrite:
-      ssd_.SubmitWrite(txn.offset_bytes, txn.size_bytes, queue_,
-                       [this, txn](const ftl::RequestResult& r) {
-                         --in_flight_;
-                         for (auto* o : observers_) {
-                           o->OnTxnExecuted(txn, r.arrival_us,
-                                            r.completion_us);
-                         }
-                         if (on_complete_) on_complete_(txn, r);
-                         Pump();
-                       });
+      result = ssd_.Write(txn.offset_bytes, txn.size_bytes, now);
       break;
     case sched::TxnSource::kGcCopy:
     case sched::TxnSource::kGcErase:
-      ssd_.SubmitGc(txn, queue_, [this, txn](const ftl::RequestResult& r) {
-        --in_flight_;
-        ++gc_completed_;
-        for (auto* o : observers_) {
-          o->OnTxnExecuted(txn, r.arrival_us, r.completion_us);
-        }
-        Pump();
-      });
+      result.arrival_us = now;
+      result.pages = 1;
+      result.completion_us =
+          std::max(ssd_.ftl().ExecuteGcTransaction(txn, now), now);
       break;
   }
+  in_flight_txns_[slot] = InFlightTxn{txn, result};
+  queue_.ScheduleAt(result.completion_us,
+                    [this, slot](Us) { Complete(slot); });
+}
+
+void IoScheduler::Complete(std::uint32_t slot) {
+  // Copy out and free the slot first: the host's completion handler and
+  // Pump() may dispatch into it.
+  const InFlightTxn done = in_flight_txns_[slot];
+  free_slots_.push_back(slot);
+  --in_flight_;
+  const bool gc = sched::IsGc(done.txn.source);
+  if (gc) ++gc_completed_;
+  for (auto* o : observers_) {
+    o->OnTxnExecuted(done.txn, slot, done.result.arrival_us,
+                     done.result.completion_us);
+  }
+  if (!gc && on_complete_) on_complete_(done.txn, done.result);
+  Pump();
 }
 
 void IoScheduler::Pump() {

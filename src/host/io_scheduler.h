@@ -7,7 +7,10 @@
 // `device_slots` transactions in flight (the device's internal command
 // queue); each completion event frees a slot and pulls the next winner, so
 // dispatch is driven entirely by the simulation event queue and is
-// deterministic.
+// deterministic.  A dispatched transaction executes at once through the
+// FTL (Ssd::Read/Write, FtlBase::ExecuteGcTransaction), which books the
+// resource timelines; the transaction and its result then wait in an
+// in-flight slot, and the completion event names only that slot.
 //
 // Dispatch order is the scheduler's whole point:
 //  * kFifo issues strictly in intake order — a read stuck behind a busy
@@ -221,6 +224,13 @@ class IoScheduler {
     std::uint32_t plane = 0;
   };
 
+  /// A dispatched transaction and the result the device computed for it,
+  /// held in an in-flight slot from dispatch to its completion event.
+  struct InFlightTxn {
+    FlashTransaction txn;
+    ftl::RequestResult result;
+  };
+
   static constexpr std::uint32_t kNil = ~0u;
   static constexpr std::uint32_t kEraseList = ~0u;
   /// Neutral plane for transactions with no die work (unmapped reads):
@@ -255,6 +265,8 @@ class IoScheduler {
   /// availability); only computed when observers are attached.
   sched::DispatchContext ContextOf(const ReadyTxn& rt) const;
   void Dispatch(std::uint32_t node);
+  /// Completion event of in-flight slot `slot`.
+  void Complete(std::uint32_t slot);
 
   ssd::Ssd& ssd_;
   sim::EventQueue& queue_;
@@ -269,6 +281,9 @@ class IoScheduler {
   bool attached_gc_ = false;  ///< this scheduler is the FTL's GC sink
   std::uint32_t in_flight_ = 0;
   std::uint32_t peak_in_flight_ = 0;
+  /// In-flight slot pool; grows to at most `device_slots` entries.
+  std::vector<InFlightTxn> in_flight_txns_;
+  std::vector<std::uint32_t> free_slots_;  ///< free in-flight slots
   std::uint64_t dispatched_ = 0;
   std::uint64_t next_seq_ = 0;
 

@@ -1,7 +1,6 @@
 #include "obs/tracer.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace ctflash::obs {
 
@@ -39,40 +38,58 @@ void Tracer::RecordSpan(const TraceSpan& span) {
   spans_.push_back(span);
 }
 
-void Tracer::OnSubmit(std::uint64_t request_id, bool is_read,
-                      std::uint32_t tenant, Us submit_us) {
-  PendingRequest req;
+std::size_t Tracer::PendingRequests() const {
+  return static_cast<std::size_t>(
+      std::count_if(pending_.begin(), pending_.end(),
+                    [](const PendingRequest& r) { return r.active; }));
+}
+
+Tracer::PendingRequest* Tracer::Find(std::uint32_t slot,
+                                     std::uint64_t request_id) {
+  if (slot >= pending_.size()) return nullptr;
+  PendingRequest& req = pending_[slot];
+  return req.active && req.request_id == request_id ? &req : nullptr;
+}
+
+void Tracer::OnSubmit(std::uint32_t slot, std::uint64_t request_id,
+                      bool is_read, std::uint32_t tenant, Us submit_us) {
+  if (slot >= pending_.size()) pending_.resize(slot + 1);
+  PendingRequest& req = pending_[slot];
+  req = PendingRequest{};
+  req.active = true;
+  req.request_id = request_id;
   req.submit_us = submit_us;
   req.is_read = is_read;
   req.tenant = tenant;
-  pending_[request_id] = req;
 }
 
-void Tracer::OnThrottled(std::uint64_t request_id) {
-  const auto it = pending_.find(request_id);
-  if (it != pending_.end()) it->second.pace_cause = StallCause::kTokenBucket;
+void Tracer::OnThrottled(std::uint32_t slot, std::uint64_t request_id) {
+  PendingRequest* req = Find(slot, request_id);
+  if (req != nullptr) req->pace_cause = StallCause::kTokenBucket;
 }
 
-void Tracer::OnBacklogged(std::uint64_t request_id) {
-  const auto it = pending_.find(request_id);
+void Tracer::OnBacklogged(std::uint32_t slot, std::uint64_t request_id) {
+  PendingRequest* req = Find(slot, request_id);
   // Token-bucket pacing wins the attribution when both occurred: it acted
   // first and is the configured policy, not a capacity accident.
-  if (it != pending_.end() && it->second.pace_cause == StallCause::kNone) {
-    it->second.pace_cause = StallCause::kBackpressure;
+  if (req != nullptr && req->pace_cause == StallCause::kNone) {
+    req->pace_cause = StallCause::kBackpressure;
   }
 }
 
-void Tracer::OnAdmit(std::uint64_t request_id, std::uint32_t queue,
-                     Us admit_us) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  it->second.admit_us = admit_us;
-  it->second.queue = queue;
+void Tracer::OnAdmit(std::uint32_t slot, std::uint64_t request_id,
+                     std::uint32_t queue, Us admit_us) {
+  PendingRequest* req = Find(slot, request_id);
+  if (req == nullptr) return;
+  req->admit_us = admit_us;
+  req->queue = queue;
 }
 
 void Tracer::OnDispatch(const sched::FlashTransaction& txn,
                         const sched::DispatchContext& context) {
   InflightTxn rec;
+  rec.active = true;
+  rec.seq = txn.seq;
   rec.die = context.die;
   rec.die_stall_us = context.die_free_at > context.dispatch_us
                          ? context.die_free_at - context.dispatch_us
@@ -81,35 +98,32 @@ void Tracer::OnDispatch(const sched::FlashTransaction& txn,
     // Who holds the resource this transaction will wait for?  With a
     // resolvable die, in-flight GC on it decides GC-vs-host attribution;
     // writes stall on the shared write frontier (other host/GC programs).
-    bool gc_busy = false;
-    if (context.die != sched::kNoDie) {
-      const auto it = gc_on_die_.find(context.die);
-      gc_busy = it != gc_on_die_.end() && it->second > 0;
-    }
+    const bool gc_busy = context.die < gc_on_die_.size() &&
+                         gc_on_die_[context.die] > 0;
     rec.media_cause =
         gc_busy ? StallCause::kDieBusyGc : StallCause::kDieBusyHost;
   }
   if (context.write_held) rec.queue_cause = StallCause::kWriteHold;
   if (sched::IsGc(txn.source) && context.die != sched::kNoDie) {
-    gc_on_die_[context.die]++;
+    if (context.die >= gc_on_die_.size()) gc_on_die_.resize(context.die + 1);
+    ++gc_on_die_[context.die];
   }
-  inflight_[txn.seq] = rec;
+  if (context.slot >= inflight_.size()) inflight_.resize(context.slot + 1);
+  inflight_[context.slot] = rec;
 }
 
-void Tracer::OnTxnExecuted(const sched::FlashTransaction& txn, Us dispatch_us,
+void Tracer::OnTxnExecuted(const sched::FlashTransaction& txn,
+                           std::uint32_t slot, Us dispatch_us,
                            Us completion_us) {
   InflightTxn rec;
-  const auto it = inflight_.find(txn.seq);
-  if (it != inflight_.end()) {
-    rec = it->second;
-    inflight_.erase(it);
+  if (slot < inflight_.size() && inflight_[slot].active &&
+      inflight_[slot].seq == txn.seq) {
+    rec = inflight_[slot];
+    inflight_[slot].active = false;
   }
   if (sched::IsGc(txn.source)) {
-    if (rec.die != sched::kNoDie) {
-      const auto g = gc_on_die_.find(rec.die);
-      if (g != gc_on_die_.end() && g->second > 0 && --g->second == 0) {
-        gc_on_die_.erase(g);
-      }
+    if (rec.die < gc_on_die_.size() && gc_on_die_[rec.die] > 0) {
+      --gc_on_die_[rec.die];
     }
     EpochCounters& ec = EpochRowCounters(completion_us);
     if (txn.source == sched::TxnSource::kGcCopy) {
@@ -133,18 +147,15 @@ void Tracer::OnTxnExecuted(const sched::FlashTransaction& txn, Us dispatch_us,
     return;
   }
 
-  const auto p = pending_.find(txn.request_id);
-  if (p != pending_.end()) {
-    PendingRequest& req = p->second;
-    // The request's phase decomposition follows its CRITICAL transaction:
-    // the one that completes last (its completion IS the request's).
-    if (completion_us > req.crit_completion_us) {
-      req.crit_completion_us = completion_us;
-      req.crit_dispatch_us = dispatch_us;
-      req.crit_queue_cause = rec.queue_cause;
-      req.crit_media_cause = rec.media_cause;
-      req.crit_media_stall_us = rec.die_stall_us;
-    }
+  PendingRequest* req = Find(txn.host_slot, txn.request_id);
+  // The request's phase decomposition follows its CRITICAL transaction: the
+  // one that completes last (its completion IS the request's).
+  if (req != nullptr && completion_us > req->crit_completion_us) {
+    req->crit_completion_us = completion_us;
+    req->crit_dispatch_us = dispatch_us;
+    req->crit_queue_cause = rec.queue_cause;
+    req->crit_media_cause = rec.media_cause;
+    req->crit_media_stall_us = rec.die_stall_us;
   }
   if (config_.record_spans) {
     TraceSpan span;
@@ -162,11 +173,12 @@ void Tracer::OnTxnExecuted(const sched::FlashTransaction& txn, Us dispatch_us,
   }
 }
 
-void Tracer::OnRequestComplete(std::uint64_t request_id, Us completion_us) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  PendingRequest req = std::move(it->second);
-  pending_.erase(it);
+void Tracer::OnRequestComplete(std::uint32_t slot, std::uint64_t request_id,
+                               Us completion_us) {
+  PendingRequest* found = Find(slot, request_id);
+  if (found == nullptr) return;
+  const PendingRequest req = *found;
+  found->active = false;
 
   const Us admit = req.admit_us >= 0 ? req.admit_us : req.submit_us;
   // Requests with no flash work (fully clipped) have no critical

@@ -25,13 +25,19 @@
 //
 // Cost model: compiled-in, off by default.  A host interface without an
 // attached tracer pays one null-pointer check per hook site; the scheduler
-// with no observers skips all context computation.  With phases-only
-// tracing (record_spans = false) the per-request cost is O(1) map traffic
-// and a few LatencyStats adds — cheap enough for whole campaigns.
+// with no observers skips all context computation.  Attached, the tracer
+// keeps its state in dense arrays: per request under the host interface's
+// request slot, per transaction under the scheduler's in-flight slot, and
+// in-flight GC per die under the die index.  They grow to the peak depth
+// and are then reused, so with phases-only tracing (record_spans = false)
+// a request costs a few array writes and LatencyStats adds, with no
+// hashing and no heap allocation — cheap enough for whole campaigns.
+// Each slot entry also records its request id (or transaction seq), so
+// hooks for a request or transaction the tracer never saw start (it was
+// attached mid-run) are ignored.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/media_hook.h"
@@ -116,15 +122,19 @@ class Tracer : public sched::SchedulerObserver, public MediaHook {
   const TracerConfig& config() const { return config_; }
 
   // --- host interface hooks ------------------------------------------------
-  void OnSubmit(std::uint64_t request_id, bool is_read, std::uint32_t tenant,
-                Us submit_us);
+  // `slot` is the host interface's request slot, `request_id` the id it
+  // returned for the request.
+  void OnSubmit(std::uint32_t slot, std::uint64_t request_id, bool is_read,
+                std::uint32_t tenant, Us submit_us);
   /// The submission was deferred by the tenant's token buckets.
-  void OnThrottled(std::uint64_t request_id);
+  void OnThrottled(std::uint32_t slot, std::uint64_t request_id);
   /// The submission found every eligible queue full (host-side backlog).
-  void OnBacklogged(std::uint64_t request_id);
+  void OnBacklogged(std::uint32_t slot, std::uint64_t request_id);
   /// The request entered submission queue `queue` at `admit_us`.
-  void OnAdmit(std::uint64_t request_id, std::uint32_t queue, Us admit_us);
-  void OnRequestComplete(std::uint64_t request_id, Us completion_us);
+  void OnAdmit(std::uint32_t slot, std::uint64_t request_id,
+               std::uint32_t queue, Us admit_us);
+  void OnRequestComplete(std::uint32_t slot, std::uint64_t request_id,
+                         Us completion_us);
   /// Cluster SLA accounting: the device died with `reads`+`writes` user
   /// requests unfinished; each is charged `charged_us` at `at_us`.  Clears
   /// all in-flight tracer state for the device.
@@ -134,8 +144,8 @@ class Tracer : public sched::SchedulerObserver, public MediaHook {
   // --- sched::SchedulerObserver --------------------------------------------
   void OnDispatch(const sched::FlashTransaction& txn,
                   const sched::DispatchContext& context) override;
-  void OnTxnExecuted(const sched::FlashTransaction& txn, Us dispatch_us,
-                     Us completion_us) override;
+  void OnTxnExecuted(const sched::FlashTransaction& txn, std::uint32_t slot,
+                     Us dispatch_us, Us completion_us) override;
 
   // --- obs::MediaHook ------------------------------------------------------
   void OnReadRetry(std::uint32_t die, Us start_us, Us dur_us,
@@ -155,12 +165,14 @@ class Tracer : public sched::SchedulerObserver, public MediaHook {
   std::uint64_t dropped_spans() const { return dropped_spans_; }
   /// Requests submitted but not yet completed (should be 0 after a full
   /// drain; nonzero means the device died with work in flight).
-  std::size_t PendingRequests() const { return pending_.size(); }
+  std::size_t PendingRequests() const;
 
   void Reset();
 
  private:
   struct PendingRequest {
+    bool active = false;  ///< submitted and not yet completed
+    std::uint64_t request_id = 0;
     Us submit_us = 0;
     bool is_read = true;
     std::uint32_t tenant = ~0u;
@@ -177,12 +189,16 @@ class Tracer : public sched::SchedulerObserver, public MediaHook {
 
   /// Dispatch-time facts held until the transaction executes.
   struct InflightTxn {
+    bool active = false;  ///< dispatched and not yet executed
+    std::uint64_t seq = 0;
     std::uint32_t die = ~0u;
     Us die_stall_us = 0;
     StallCause media_cause = StallCause::kNone;
     StallCause queue_cause = StallCause::kNone;
   };
 
+  /// The pending request in `slot` if it is `request_id`, else null.
+  PendingRequest* Find(std::uint32_t slot, std::uint64_t request_id);
   std::size_t EpochOf(Us at_us) const;
   PhaseStats& EpochRow(Us at_us);
   EpochCounters& EpochRowCounters(Us at_us);
@@ -195,10 +211,10 @@ class Tracer : public sched::SchedulerObserver, public MediaHook {
   std::vector<TraceSpan> spans_;
   std::vector<PhaseRecord> requests_;
   std::uint64_t dropped_spans_ = 0;
-  std::unordered_map<std::uint64_t, PendingRequest> pending_;
-  std::unordered_map<std::uint64_t, InflightTxn> inflight_;  ///< by txn seq
+  std::vector<PendingRequest> pending_;  ///< by host request slot
+  std::vector<InflightTxn> inflight_;    ///< by scheduler in-flight slot
   /// In-flight GC transactions per die (die-busy attribution).
-  std::unordered_map<std::uint32_t, std::uint32_t> gc_on_die_;
+  std::vector<std::uint32_t> gc_on_die_;
 };
 
 }  // namespace ctflash::obs

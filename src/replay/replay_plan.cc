@@ -1,7 +1,9 @@
 #include "replay/replay_plan.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ctflash::replay {
@@ -125,8 +127,28 @@ void TimeWarpConfig::ResolveRateTarget(std::uint64_t records, Us duration_us) {
 }
 
 Us TimeWarpConfig::Warp(Us ts) const {
-  return start_offset_us +
-         static_cast<Us>(std::llround(static_cast<double>(ts) / acceleration));
+  // A tiny finite acceleration (campaign time_scale 1e8 on a week-long
+  // trace) puts the quotient past INT64_MAX, where llround's result is
+  // unspecified; check it, and the offset addition, before either happens.
+  // Doubles this large are integers, so rounding cannot leave the range.
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  const double warped = static_cast<double>(ts) / acceleration;
+  if (!(warped > -kLimit && warped < kLimit)) {
+    throw std::out_of_range("TimeWarpConfig: timestamp " + std::to_string(ts) +
+                            " us warped by acceleration " +
+                            std::to_string(acceleration) +
+                            " does not fit the simulated clock");
+  }
+  const Us rounded = static_cast<Us>(std::llround(warped));
+  using Limits = std::numeric_limits<Us>;
+  if (start_offset_us >= 0 ? rounded > Limits::max() - start_offset_us
+                           : rounded < Limits::min() - start_offset_us) {
+    throw std::out_of_range("TimeWarpConfig: timestamp " + std::to_string(ts) +
+                            " us warped and offset by " +
+                            std::to_string(start_offset_us) +
+                            " us does not fit the simulated clock");
+  }
+  return start_offset_us + rounded;
 }
 
 bool FilterConfig::Accepts(const trace::TraceRecord& record) const {
@@ -189,7 +211,12 @@ void ReplayPlan::Advance(PlanSource& src, std::uint32_t index) {
           "ReplayPlan: unresolved rate-targeted warp on " + opt.name +
           " (call TimeWarpConfig::ResolveRateTarget first)");
     }
-    r.timestamp_us = opt.warp.Warp(r.timestamp_us);
+    try {
+      r.timestamp_us = opt.warp.Warp(r.timestamp_us);
+    } catch (const std::out_of_range& e) {
+      throw std::out_of_range("ReplayPlan: source " + opt.name + ": " +
+                              e.what());
+    }
     counters.emitted++;
     src.head = TaggedRecord{r, opt.tenant, index};
     return;

@@ -99,7 +99,8 @@ struct TimeWarpConfig {
   /// Derives the effective acceleration from a source's native rate and
   /// re-validates it.  No-op when target_iops == 0.
   void ResolveRateTarget(std::uint64_t records, Us duration_us);
-  /// warped timestamp of `ts` under this config.
+  /// warped timestamp of `ts` under this config.  Throws
+  /// std::out_of_range when it does not fit the simulated clock (Us).
   Us Warp(Us ts) const;
 };
 

@@ -13,6 +13,12 @@
 // Observers are borrowed, never owned, and must outlive the scheduler.
 // With no observers attached the scheduler skips all context computation —
 // the disabled-mode cost is one empty-vector check per dispatch.
+//
+// Every dispatched transaction holds one of the scheduler's in-flight
+// slots (at most `device_slots`) until its completion event.  Both events
+// name that slot, so an observer can keep per-transaction state in a dense
+// array instead of a map keyed by seq.  A slot is reused only after
+// OnTxnExecuted for its previous transaction has returned.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +43,7 @@ inline constexpr std::uint32_t kNoDie = ~0u;
 ///  * write_held marks a host write that the GC write-admission guard held
 ///    in the ready set at least once.
 struct DispatchContext {
+  std::uint32_t slot = 0;  ///< in-flight slot until OnTxnExecuted
   Us dispatch_us = 0;
   Us enqueue_us = 0;
   std::uint32_t die = kNoDie;  ///< predicted target die (global index)
@@ -55,8 +62,9 @@ class SchedulerObserver {
 
   /// Fires when the device finishes executing the transaction (the
   /// completion event), before the host interface sees the completion.
-  virtual void OnTxnExecuted(const FlashTransaction& txn, Us dispatch_us,
-                             Us completion_us) = 0;
+  /// `slot` is the one its DispatchContext named.
+  virtual void OnTxnExecuted(const FlashTransaction& txn, std::uint32_t slot,
+                             Us dispatch_us, Us completion_us) = 0;
 };
 
 }  // namespace ctflash::sched

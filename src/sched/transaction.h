@@ -51,8 +51,9 @@ constexpr bool IsGc(TxnSource source) {
 /// One page-granular unit of flash work.
 ///
 /// Host transactions (kHostRead/kHostWrite) are slices of a byte-range
-/// request: `request_id` names the host request, `offset_bytes`/`size_bytes`
-/// the page-clipped extent, `lpn` the logical page.
+/// request: `request_id` names the host request, `host_slot` the host
+/// interface's record of it, `offset_bytes`/`size_bytes` the page-clipped
+/// extent, `lpn` the logical page.
 ///
 /// GC transactions (kGcCopy/kGcErase) are emitted by the FTL's scheduled-GC
 /// planner (FtlBase::DrainGcTransactions): `request_id` names the GC job
@@ -72,6 +73,11 @@ struct FlashTransaction {
   std::uint64_t offset_bytes = 0;  ///< absolute; spans at most one page
   std::uint64_t size_bytes = 0;
   Lpn lpn = 0;
+
+  /// Host request slot (host::HostInterface): the index its completion
+  /// and the tracer's per-request state are filed under while the request
+  /// is outstanding.  ~0u for GC work.
+  std::uint32_t host_slot = ~0u;
 
   // --- GC identity ---------------------------------------------------------
   Ppn gc_src = kInvalidPpn;  ///< source page of a kGcCopy

@@ -97,29 +97,4 @@ ftl::RequestResult Ssd::Write(std::uint64_t offset_bytes,
   return ftl_->Write(offset_bytes, size_bytes, arrival_us);
 }
 
-void Ssd::SubmitRead(std::uint64_t offset_bytes, std::uint64_t size_bytes,
-                     sim::EventQueue& queue, CompletionCallback cb) {
-  const auto r = ftl_->Read(offset_bytes, size_bytes, queue.Now());
-  queue.ScheduleAt(r.completion_us,
-                   [cb = std::move(cb), r](Us) { cb(r); });
-}
-
-void Ssd::SubmitWrite(std::uint64_t offset_bytes, std::uint64_t size_bytes,
-                      sim::EventQueue& queue, CompletionCallback cb) {
-  const auto r = ftl_->Write(offset_bytes, size_bytes, queue.Now());
-  queue.ScheduleAt(r.completion_us,
-                   [cb = std::move(cb), r](Us) { cb(r); });
-}
-
-void Ssd::SubmitGc(const sched::FlashTransaction& txn, sim::EventQueue& queue,
-                   CompletionCallback cb) {
-  ftl::RequestResult r;
-  r.arrival_us = queue.Now();
-  r.pages = 1;
-  r.completion_us = ftl_->ExecuteGcTransaction(txn, r.arrival_us);
-  if (r.completion_us < r.arrival_us) r.completion_us = r.arrival_us;
-  queue.ScheduleAt(r.completion_us,
-                   [cb = std::move(cb), r](Us) { cb(r); });
-}
-
 }  // namespace ctflash::ssd

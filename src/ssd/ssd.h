@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -18,8 +17,6 @@
 #include "ftl/ftl_base.h"
 #include "nand/geometry.h"
 #include "nand/latency_model.h"
-#include "sched/transaction.h"
-#include "sim/event_queue.h"
 #include "util/types.h"
 
 namespace ctflash::campaign {
@@ -71,29 +68,15 @@ class Ssd {
   Ssd(const Ssd&) = delete;
   Ssd& operator=(const Ssd&) = delete;
 
-  /// Host operations; see ftl::FtlBase for semantics.
+  /// Host operations; see ftl::FtlBase for semantics.  Each services the
+  /// request through the FTL at `arrival_us` and returns its timing; the
+  /// host interface's scheduler (src/host/) calls them at dispatch time and
+  /// fires the completion as an event itself, so many transactions can be
+  /// in flight across channels/chips/dies at once in TimingMode::kQueued.
   ftl::RequestResult Read(std::uint64_t offset_bytes, std::uint64_t size_bytes,
                           Us arrival_us);
   ftl::RequestResult Write(std::uint64_t offset_bytes, std::uint64_t size_bytes,
                            Us arrival_us);
-
-  /// Asynchronous submit/completion path used by the host interface
-  /// (src/host/).  The request is serviced through the FTL at `queue.Now()`
-  /// — resource timelines supply queueing delay in TimingMode::kQueued —
-  /// and `cb` fires as an event at the resulting completion time, so many
-  /// submissions can be in flight across channels/chips/dies at once.  The
-  /// synchronous Read/Write above remain the QD=1 special case.
-  using CompletionCallback = std::function<void(const ftl::RequestResult&)>;
-  void SubmitRead(std::uint64_t offset_bytes, std::uint64_t size_bytes,
-                  sim::EventQueue& queue, CompletionCallback cb);
-  void SubmitWrite(std::uint64_t offset_bytes, std::uint64_t size_bytes,
-                   sim::EventQueue& queue, CompletionCallback cb);
-  /// Executes one scheduled-GC transaction (relocation copy or victim
-  /// erase) drained from the FTL planner at `queue.Now()`; `cb` fires at
-  /// its completion time.  Host-scheduler use only (gc_routing =
-  /// kScheduled); see ftl::FtlBase::ExecuteGcTransaction.
-  void SubmitGc(const sched::FlashTransaction& txn, sim::EventQueue& queue,
-                CompletionCallback cb);
 
   std::uint64_t LogicalBytes() const { return ftl_->LogicalBytes(); }
   std::string FtlName() const { return ftl_->Name(); }

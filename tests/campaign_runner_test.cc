@@ -123,6 +123,23 @@ TEST(CampaignRunner, NonFiniteTimeScaleFailsTheArm) {
   }
 }
 
+TEST(CampaignRunner, UnrepresentableTimeScaleFailsTheArm) {
+  // A finite time_scale can still warp arrivals past the simulated clock:
+  // 1e300 is acceleration 1e-300, and any nonzero timestamp overflows.
+  const std::string spec = R"({"defaults": {"device_bytes": "32MiB",
+      "workload": {"kind": "synthetic", "requests": 200,
+                   "time_scale": 1e300}}})";
+  const CampaignResult result =
+      CampaignRunner(CampaignSpec::Parse(spec)).Run(1);
+  ASSERT_EQ(result.arms.size(), 1u);
+  EXPECT_FALSE(result.arms[0].ok);
+  EXPECT_NE(result.arms[0].error.find("does not fit the simulated clock"),
+            std::string::npos)
+      << result.arms[0].error;
+  EXPECT_NE(result.arms[0].error.find("source0"), std::string::npos)
+      << result.arms[0].error;
+}
+
 TEST(CampaignRunner, ReportAndCsvShape) {
   CampaignRunner runner(CampaignSpec::Parse(kSmallGrid));
   const CampaignResult result = runner.Run(2);

@@ -81,7 +81,8 @@ class FoldingObserver final : public sched::SchedulerObserver {
     c = Fold(c, static_cast<std::uint64_t>(ctx.die_free_at));
     c = Fold(c, ctx.write_held ? 1u : 0u);
   }
-  void OnTxnExecuted(const sched::FlashTransaction&, Us, Us) override {}
+  void OnTxnExecuted(const sched::FlashTransaction&, std::uint32_t, Us,
+                     Us) override {}
 
  private:
   Fingerprint& fp_;

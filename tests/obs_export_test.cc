@@ -19,9 +19,11 @@
 namespace ctflash::obs {
 namespace {
 
-sched::FlashTransaction HostRead(std::uint64_t request_id, std::uint64_t seq,
+sched::FlashTransaction HostRead(std::uint32_t host_slot,
+                                 std::uint64_t request_id, std::uint64_t seq,
                                  Lpn lpn) {
   sched::FlashTransaction txn;
+  txn.host_slot = host_slot;
   txn.request_id = request_id;
   txn.seq = seq;
   txn.source = sched::TxnSource::kHostRead;
@@ -39,9 +41,10 @@ sched::FlashTransaction GcCopy(std::uint64_t job, std::uint64_t seq) {
   return txn;
 }
 
-sched::DispatchContext At(Us dispatch_us, Us enqueue_us, std::uint32_t die,
-                          Us die_free_at) {
+sched::DispatchContext At(std::uint32_t slot, Us dispatch_us, Us enqueue_us,
+                          std::uint32_t die, Us die_free_at) {
   sched::DispatchContext ctx;
+  ctx.slot = slot;
   ctx.dispatch_us = dispatch_us;
   ctx.enqueue_us = enqueue_us;
   ctx.die = die;
@@ -51,19 +54,21 @@ sched::DispatchContext At(Us dispatch_us, Us enqueue_us, std::uint32_t die,
 
 /// One deterministic synthetic stream: a GC copy occupies die 2, a host
 /// read dispatches behind it, a retry ladder fires, and the request
-/// completes.  Phase arithmetic: paced 10, queued 10, media 80.
+/// completes.  Phase arithmetic: paced 10, queued 10, media 80.  Request 1
+/// holds host slot 0; the copy and the read hold in-flight slots 0 and 1.
 void DriveOne(Tracer& tracer) {
-  tracer.OnDispatch(GcCopy(900, 1), At(100, 90, 2, 100));
-  tracer.OnSubmit(1, /*is_read=*/true, /*tenant=*/0, /*submit_us=*/100);
-  tracer.OnThrottled(1);
-  tracer.OnAdmit(1, /*queue=*/0, /*admit_us=*/110);
-  tracer.OnDispatch(HostRead(1, 2, 7), At(120, 110, 2, 150));
-  tracer.OnTxnExecuted(GcCopy(900, 1), 100, 150);
+  tracer.OnDispatch(GcCopy(900, 1), At(/*slot=*/0, 100, 90, 2, 100));
+  tracer.OnSubmit(/*slot=*/0, /*request_id=*/1, /*is_read=*/true,
+                  /*tenant=*/0, /*submit_us=*/100);
+  tracer.OnThrottled(0, 1);
+  tracer.OnAdmit(0, 1, /*queue=*/0, /*admit_us=*/110);
+  tracer.OnDispatch(HostRead(0, 1, 2, 7), At(/*slot=*/1, 120, 110, 2, 150));
+  tracer.OnTxnExecuted(GcCopy(900, 1), /*slot=*/0, 100, 150);
   tracer.OnReadRetry(/*die=*/2, /*start_us=*/160, /*dur_us=*/20, /*rungs=*/2,
                      /*recovered=*/true);
-  tracer.OnTxnExecuted(HostRead(1, 2, 7), 120, 200);
+  tracer.OnTxnExecuted(HostRead(0, 1, 2, 7), /*slot=*/1, 120, 200);
   tracer.OnUnreachable(/*die=*/3, /*now_us=*/210);
-  tracer.OnRequestComplete(1, 200);
+  tracer.OnRequestComplete(0, 1, 200);
 }
 
 TracerConfig FullConfig() {
@@ -169,7 +174,7 @@ TEST(ObsExport, ChargeDeadDeviceBooksTimeoutsAsDeadDeviceStall) {
   cfg.record_spans = false;
   cfg.metrics_epoch_us = 1000;
   Tracer tracer(cfg);
-  tracer.OnSubmit(5, true, 0, 100);  // stranded in flight
+  tracer.OnSubmit(0, 5, true, 0, 100);  // stranded in flight
   tracer.ChargeDeadDevice(/*reads=*/2, /*writes=*/1, /*charged_us=*/5000,
                           /*at_us=*/1500);
 
@@ -200,8 +205,9 @@ TEST(ObsExport, SpanCapCountsDropsInsteadOfGrowing)  {
   cfg.max_spans = 4;
   Tracer tracer(cfg);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    tracer.OnDispatch(GcCopy(i, i), At(100 + static_cast<Us>(i), 100, 0, 0));
-    tracer.OnTxnExecuted(GcCopy(i, i), 100 + static_cast<Us>(i),
+    tracer.OnDispatch(GcCopy(i, i),
+                      At(0, 100 + static_cast<Us>(i), 100, 0, 0));
+    tracer.OnTxnExecuted(GcCopy(i, i), 0, 100 + static_cast<Us>(i),
                          110 + static_cast<Us>(i));
   }
   EXPECT_EQ(tracer.spans().size(), 4u);

@@ -268,7 +268,8 @@ class RecordingObserver : public sched::SchedulerObserver {
     dispatches.push_back({txn.request_id, txn.seq, c.dispatch_us,
                           c.enqueue_us, c.die, c.die_free_at, c.write_held});
   }
-  void OnTxnExecuted(const sched::FlashTransaction&, Us, Us) override {
+  void OnTxnExecuted(const sched::FlashTransaction&, std::uint32_t, Us,
+                     Us) override {
     ++executed;
   }
 

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "replay/replay_plan.h"
@@ -205,6 +206,39 @@ TEST(TimeWarp, RateTargetRejectsOverflowingRatio) {
   TimeWarpConfig slow;
   slow.target_iops = 1e-320;
   EXPECT_THROW(slow.ResolveRateTarget(1'000'000, 1), std::invalid_argument);
+}
+
+TEST(TimeWarp, RejectsUnrepresentableWarp) {
+  // Campaign time_scale 1e8 is acceleration 1e-8: a week-long trace's last
+  // timestamp (6.048e11 us) warps to 6e19, past INT64_MAX.
+  constexpr Us kWeekUs = 604'800'000'000;
+  TimeWarpConfig slow;
+  slow.acceleration = 1e-8;
+  EXPECT_NO_THROW(slow.Validate());
+  EXPECT_EQ(slow.Warp(1'000), 100'000'000'000);
+  EXPECT_THROW(slow.Warp(kWeekUs), std::out_of_range);
+  // The quotient fits, but the offset addition would overflow.
+  TimeWarpConfig offset;
+  offset.start_offset_us = std::numeric_limits<Us>::max() - 10;
+  EXPECT_EQ(offset.Warp(10), std::numeric_limits<Us>::max());
+  EXPECT_THROW(offset.Warp(11), std::out_of_range);
+
+  // At pull time the error names the source.
+  ReplayPlan plan;
+  SourceOptions options;
+  options.name = "week";
+  options.warp = slow;
+  plan.AddSource(std::make_unique<VectorTraceSource>(
+                     std::vector<trace::TraceRecord>{
+                         {kWeekUs, trace::OpType::kRead, 0, 4096}}),
+                 options);
+  try {
+    plan.Next();
+    ADD_FAILURE() << "an unrepresentable warp must throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("source week"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TimeWarp, UnresolvedRateTargetThrowsAtPull) {
