@@ -1,82 +1,86 @@
-// INI-driven experiment runner: configure the device, FTL, PPB knobs and the
-// workload from a config file (no recompilation) and print the conventional
-// vs PPB comparison.  With no argument a built-in sample configuration is
-// used and printed, serving as living documentation of every key.
+// JSON-driven experiment runner: configure the device, FTL, PPB knobs and the
+// workload from a spec file (no recompilation) and print the conventional vs
+// PPB comparison.  With no argument a built-in sample spec is used and
+// printed.
 //
-//   ./custom_experiment [experiment.ini]
+//   ./custom_experiment [experiment.json]
+//
+// The spec is one JSON object in the campaign arm vocabulary
+// (campaign/spec.h).  Its device keys go through campaign::
+// ResolveDeviceSection, once with "ftl" set to "conventional" and once to
+// "ppb", so they mean what they mean in every campaign and cluster spec:
+//   device_bytes, page_size   byte sizes ("2GiB", "16KiB") or numbers
+//   speed_ratio               top/bottom latency ratio R (paper: 2x..5x)
+//   timing_mode               "service_time" or "queued" (chip/channel
+//                             contention)
+//   error_model               {} arms the layer error model with its
+//                             default knobs; absent = off
+//   ppb.vb_split, ppb.max_open_fast_vbs, ppb.migrate_on_update,
+//   ppb.migrate_on_gc
+// The keys the device section does not read come from the same object:
+//   op_ratio, gc_threshold_low, gc_threshold_high, charge_gc_to_write,
+//   wear_delta (> 0 enables static wear leveling), ppb.cold_promote_threshold
+//   workload.preset ("web" | "media"), workload.requests,
+//   workload.footprint (0 = 80 % of logical capacity), workload.seed
+// Absent keys take the campaign defaults (device_bytes 256MiB, timing_mode
+// "queued", ...) and the FTL/PPB config defaults; the absent workload keys
+// take the sample's values.  Both FTLs replay one generated trace through
+// the paper protocol (ssd::RunExperiment).
+#include <fstream>
 #include <iostream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "campaign/json.h"
+#include "campaign/spec.h"
 #include "ssd/experiment.h"
 #include "trace/synthetic.h"
-#include "util/config.h"
 #include "util/table_printer.h"
 
 namespace {
 
-constexpr const char* kSampleIni = R"(# ctflash experiment configuration (all keys optional; defaults shown)
-[device]
-capacity     = 2GiB      # scaled array, Table 1 block shape
-page_size    = 16KiB     # 8KiB / 16KiB in the paper
-speed_ratio  = 2.0       # top/bottom latency ratio R (paper: 2x..5x)
-timing_mode  = service   # service | queued (chip/channel contention)
-model_read_errors = false
+using ctflash::campaign::Json;
 
-[ftl]
-op_ratio           = 0.15
-gc_threshold_low   = 6
-gc_threshold_high  = 10
-charge_gc_to_write = false
-wear_delta         = 0   # >0 enables static wear leveling
-
-[ppb]
-vb_split               = 2
-cold_promote_threshold = 2
-max_open_fast_vbs      = 4
-migrate_on_update      = true
-migrate_on_gc          = true
-
-[workload]
-kind       = web        # web | media
-requests   = 300000
-footprint  = 0          # 0 = 80% of logical capacity
-seed       = 2
+constexpr const char* kSampleSpec = R"({
+  "device_bytes": "2GiB",
+  "page_size": "16KiB",
+  "speed_ratio": 2.0,
+  "timing_mode": "service_time",
+  "op_ratio": 0.15,
+  "gc_threshold_low": 6,
+  "gc_threshold_high": 10,
+  "charge_gc_to_write": false,
+  "wear_delta": 0,
+  "ppb": {
+    "vb_split": 2,
+    "cold_promote_threshold": 2,
+    "max_open_fast_vbs": 4,
+    "migrate_on_update": true,
+    "migrate_on_gc": true
+  },
+  "workload": {"preset": "web", "requests": 300000, "footprint": 0, "seed": 2}
+}
 )";
 
-ctflash::ssd::SsdConfig BuildConfig(const ctflash::util::ConfigMap& ini,
-                                    ctflash::ssd::FtlKind kind) {
+ctflash::ssd::SsdConfig BuildConfig(const Json& spec, const char* ftl) {
   using namespace ctflash;
-  auto cfg = ssd::ScaledConfig(
-      kind, ini.GetBytesOr("device", "capacity", 2ull << 30),
-      static_cast<std::uint32_t>(ini.GetBytesOr("device", "page_size", 16384)),
-      ini.GetDoubleOr("device", "speed_ratio", 2.0));
-  const std::string mode =
-      util::ToLower(ini.GetStringOr("device", "timing_mode", "service"));
-  if (mode == "queued") {
-    cfg.timing_mode = ftl::TimingMode::kQueued;
-  } else if (mode != "service") {
-    throw std::invalid_argument("timing_mode must be service or queued");
-  }
-  cfg.model_read_errors = ini.GetBoolOr("device", "model_read_errors", false);
-
-  cfg.ftl.op_ratio = ini.GetDoubleOr("ftl", "op_ratio", cfg.ftl.op_ratio);
-  cfg.ftl.gc_threshold_low = static_cast<std::uint64_t>(
-      ini.GetIntOr("ftl", "gc_threshold_low", cfg.ftl.gc_threshold_low));
-  cfg.ftl.gc_threshold_high = static_cast<std::uint64_t>(
-      ini.GetIntOr("ftl", "gc_threshold_high", cfg.ftl.gc_threshold_high));
+  Json arm = spec;
+  arm["ftl"] = ftl;
+  ssd::SsdConfig cfg = campaign::ResolveDeviceSection(arm).device;
+  cfg.ftl.op_ratio = spec.GetDoubleOr("op_ratio", cfg.ftl.op_ratio);
+  cfg.ftl.gc_threshold_low =
+      spec.GetUintOr("gc_threshold_low", cfg.ftl.gc_threshold_low);
+  cfg.ftl.gc_threshold_high =
+      spec.GetUintOr("gc_threshold_high", cfg.ftl.gc_threshold_high);
   cfg.ftl.charge_gc_to_write =
-      ini.GetBoolOr("ftl", "charge_gc_to_write", false);
-  cfg.ftl.wear.delta_threshold =
-      static_cast<std::uint32_t>(ini.GetIntOr("ftl", "wear_delta", 0));
-
-  cfg.ppb.vb_split =
-      static_cast<std::uint32_t>(ini.GetIntOr("ppb", "vb_split", 2));
-  cfg.ppb.cold_promote_threshold = static_cast<std::uint32_t>(
-      ini.GetIntOr("ppb", "cold_promote_threshold", 2));
-  cfg.ppb.max_open_fast_vbs =
-      static_cast<std::uint32_t>(ini.GetIntOr("ppb", "max_open_fast_vbs", 4));
-  cfg.ppb.migrate_on_update = ini.GetBoolOr("ppb", "migrate_on_update", true);
-  cfg.ppb.migrate_on_gc = ini.GetBoolOr("ppb", "migrate_on_gc", true);
+      spec.GetBoolOr("charge_gc_to_write", cfg.ftl.charge_gc_to_write);
+  cfg.ftl.wear.delta_threshold = static_cast<std::uint32_t>(
+      spec.GetUintOr("wear_delta", cfg.ftl.wear.delta_threshold));
+  if (const Json* ppb = spec.Get("ppb")) {
+    cfg.ppb.cold_promote_threshold = static_cast<std::uint32_t>(
+        ppb->GetUintOr("cold_promote_threshold", cfg.ppb.cold_promote_threshold));
+  }
   return cfg;
 }
 
@@ -85,44 +89,46 @@ ctflash::ssd::SsdConfig BuildConfig(const ctflash::util::ConfigMap& ini,
 int main(int argc, char** argv) {
   using namespace ctflash;
 
-  util::ConfigMap ini;
+  std::string text = kSampleSpec;
   if (argc > 1) {
-    ini = util::ConfigMap::FromFile(argv[1]);
+    std::ifstream in(argv[1]);
+    if (!in) throw std::runtime_error(std::string("cannot open ") + argv[1]);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
     std::cout << "Configuration: " << argv[1] << "\n\n";
   } else {
-    ini = util::ConfigMap::FromString(kSampleIni);
-    std::cout << "No config given; using the built-in sample:\n\n"
-              << kSampleIni << "\n";
+    std::cout << "No spec given; using the built-in sample:\n\n"
+              << kSampleSpec << "\n";
   }
+  const Json spec = Json::Parse(text);
+  if (!spec.IsObject()) throw std::runtime_error("the spec must be a JSON object");
+  const ssd::SsdConfig conv_cfg = BuildConfig(spec, "conventional");
+  const ssd::SsdConfig ppb_cfg = BuildConfig(spec, "ppb");
 
   // Build the workload once (identical trace for both FTLs).
-  const auto probe_cfg = BuildConfig(ini, ssd::FtlKind::kConventional);
-  ssd::Ssd probe(probe_cfg);
-  std::uint64_t footprint = ini.GetBytesOr("workload", "footprint", 0);
-  if (footprint == 0) footprint = probe.LogicalBytes() / 10 * 8;
-  const std::uint64_t requests = static_cast<std::uint64_t>(
-      ini.GetIntOr("workload", "requests", 300'000));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(ini.GetIntOr("workload", "seed", 2));
-  const std::string kind =
-      util::ToLower(ini.GetStringOr("workload", "kind", "web"));
+  const Json* w = spec.Get("workload");
+  const Json workload = w != nullptr ? *w : Json();
+  std::uint64_t footprint = campaign::BytesOf(workload, "footprint", 0);
+  if (footprint == 0) footprint = ssd::Ssd(conv_cfg).LogicalBytes() / 10 * 8;
+  const std::uint64_t requests = workload.GetUintOr("requests", 300'000);
+  const std::uint64_t seed = workload.GetUintOr("seed", 2);
+  const std::string preset = workload.GetStringOr("preset", "web");
   trace::SyntheticWorkloadConfig wl;
-  if (kind == "web") {
+  if (preset == "web") {
     wl = trace::WebServerWorkload(footprint, requests, seed);
-  } else if (kind == "media") {
+  } else if (preset == "media") {
     wl = trace::MediaServerWorkload(footprint, requests, seed);
   } else {
-    throw std::invalid_argument("workload kind must be web or media");
+    throw std::invalid_argument("workload.preset must be web or media");
   }
   const auto records = trace::SyntheticTraceGenerator(wl).Generate();
 
+  const ssd::ExperimentResult conv =
+      ssd::RunExperiment(conv_cfg, records, footprint, wl.name);
+  const ssd::ExperimentResult ppb =
+      ssd::RunExperiment(ppb_cfg, records, footprint, wl.name);
   util::TablePrinter table({"metric", "conventional FTL", "FTL + PPB"});
-  ssd::ExperimentResult conv, ppb;
-  for (const auto k : {ssd::FtlKind::kConventional, ssd::FtlKind::kPpb}) {
-    const auto res =
-        ssd::RunExperiment(BuildConfig(ini, k), records, footprint, wl.name);
-    (k == ssd::FtlKind::kConventional ? conv : ppb) = res;
-  }
   table.AddRow({"total read latency (s)",
                 util::TablePrinter::FormatDouble(conv.TotalReadSeconds()),
                 util::TablePrinter::FormatDouble(ppb.TotalReadSeconds())});

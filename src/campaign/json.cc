@@ -262,6 +262,14 @@ double Json::AsDouble() const {
 
 std::int64_t Json::AsInt() const {
   const double v = AsDouble();
+  // int64 spans [-2^63, 2^63); the comparisons also reject the infinities
+  // an overflowing literal such as 1e999 parses to.
+  if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0)) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.17g", v);
+    throw std::runtime_error(
+        std::string("json: integer out of the int64 range, found ") + text);
+  }
   if (v != std::floor(v)) {
     throw std::runtime_error("json: expected an integer, found " + std::to_string(v));
   }

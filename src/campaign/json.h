@@ -53,7 +53,8 @@ class Json {
   /// Typed accessors; throw std::runtime_error on kind mismatch.
   bool AsBool() const;
   double AsDouble() const;
-  /// Integral accessors additionally reject non-integral numbers.
+  /// Integral accessors additionally reject non-integral numbers and
+  /// numbers outside the int64 range (infinities included).
   std::int64_t AsInt() const;
   std::uint64_t AsUint() const;
   const std::string& AsString() const;

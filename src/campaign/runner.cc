@@ -227,9 +227,17 @@ std::string ClassifyFaultOutcome(const ssd::Ssd& ssd) {
   return recovery_ran ? "recovered" : "masked";
 }
 
-/// Cumulative wear / media-error / GC counters for the arm's health
-/// evaluation (mirrors the cluster director's per-epoch sampler; here the
-/// window is the whole measured workload).
+/// Shared-prefill key: device shape + prefill parameters.  gc_routing is
+/// deliberately absent from the shape key (see campaign/snapshot.h) so
+/// inline- and scheduled-GC arms share one prefill.
+std::string PrefillKey(const ArmSpec& arm) {
+  return SnapshotShapeKey(arm.device) +
+         "|pct=" + std::to_string(arm.prefill_pct) +
+         "|chunk=" + std::to_string(arm.prefill_chunk_bytes);
+}
+
+}  // namespace
+
 obs::HealthSample CollectHealthSample(const ssd::Ssd& ssd,
                                       const obs::Tracer* tracer) {
   obs::HealthSample s;
@@ -257,17 +265,6 @@ obs::HealthSample CollectHealthSample(const ssd::Ssd& ssd,
   }
   return s;
 }
-
-/// Shared-prefill key: device shape + prefill parameters.  gc_routing is
-/// deliberately absent from the shape key (see campaign/snapshot.h) so
-/// inline- and scheduled-GC arms share one prefill.
-std::string PrefillKey(const ArmSpec& arm) {
-  return SnapshotShapeKey(arm.device) +
-         "|pct=" + std::to_string(arm.prefill_pct) +
-         "|chunk=" + std::to_string(arm.prefill_chunk_bytes);
-}
-
-}  // namespace
 
 ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared) {
   ArmResult out;

@@ -30,6 +30,9 @@
 #include "campaign/json.h"
 #include "campaign/snapshot.h"
 #include "campaign/spec.h"
+#include "obs/health.h"
+#include "obs/tracer.h"
+#include "ssd/ssd.h"
 
 namespace ctflash::campaign {
 
@@ -91,6 +94,13 @@ class CampaignRunner {
 /// bench_campaign's straight-through reference runs).  `shared` non-null
 /// restores that snapshot instead of prefilling.
 ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared);
+
+/// Cumulative wear / media-error / GC counters of `ssd` for an
+/// obs::HealthMonitor window; a non-null `tracer` adds the read stall
+/// behind GC.  Campaign arms sample before and after the measured
+/// workload, the cluster director once per epoch per device.
+obs::HealthSample CollectHealthSample(const ssd::Ssd& ssd,
+                                      const obs::Tracer* tracer);
 
 /// RFC 4180 CSV field encoding: fields containing a comma, double quote,
 /// CR or LF are wrapped in double quotes with embedded quotes doubled;

@@ -123,34 +123,6 @@ void ClusterSim::BuildFleet(ClusterResult& result) {
   result.epochs.resize(spec_.epochs);
 }
 
-obs::HealthSample ClusterSim::CollectHealthSample(const Device& dev) const {
-  obs::HealthSample s;
-  const ftl::FtlBase& f = dev.ssd->ftl();
-  s.free_blocks = f.blocks().FreeCount();
-  s.retired_blocks = f.blocks().RetiredCount();
-  s.total_blocks = f.blocks().total_blocks();
-  s.gc_floor_blocks = f.config().gc_threshold_low;
-  const nand::NandDevice& nand = dev.ssd->target().nand();
-  s.total_erases = nand.Wear().total_erases;
-  s.endurance_pe_cycles = nand.endurance_pe_cycles();
-  const ftl::ReadErrorStats& host_err = dev.ssd->target().read_error_stats();
-  const ftl::ReadErrorStats& gc_err = dev.ssd->target().gc_read_error_stats();
-  s.sampled_reads = host_err.sampled_reads + gc_err.sampled_reads;
-  s.retried_reads = host_err.retried_reads + gc_err.retried_reads;
-  s.unrecovered_reads =
-      host_err.unrecovered_reads + gc_err.unrecovered_reads;
-  s.lost_pages = f.fault_stats().LostPages();
-  s.program_pages = f.stats().host_write_pages + f.stats().gc_page_copies;
-  s.program_failures = f.fault_stats().program_failures;
-  if (dev.tracer != nullptr) {
-    const obs::PhaseBreakdown& read = dev.tracer->phases().read;
-    s.read_stall_gc_us =
-        read.stall_us[static_cast<std::size_t>(obs::StallCause::kDieBusyGc)];
-    s.read_media_us = static_cast<std::uint64_t>(read.media.total_us());
-  }
-  return s;
-}
-
 void ClusterSim::GenerateEpoch(std::uint32_t epoch, ClusterResult& result) {
   const Us start = run_start_us_ + static_cast<Us>(epoch) * spec_.epoch_us;
   const double period_us = 1e6 / spec_.rate_iops;
@@ -218,30 +190,34 @@ void ClusterSim::RunDeviceEpoch(Device& dev, std::uint32_t epoch, Us until) {
     dev.bucket.clear();
     dev.host->AdvanceTo(until);
   } catch (const std::exception&) {
-    // Unrecoverable media error (e.g. spare blocks exhausted mid-GC): the
-    // device is gone.  Its in-flight user requests never complete — charge
-    // them the SLA timeout in the epoch the device died.
-    dev.fatal = true;
-    dev.bucket.clear();
-    const std::uint64_t reads = dev.submitted_reads - dev.completed_reads;
-    const std::uint64_t writes = dev.submitted_writes - dev.completed_writes;
-    for (std::uint64_t i = 0; i < reads; ++i) {
-      dev.epoch_read[epoch].Add(static_cast<Us>(spec_.timeout_us));
-      dev.run_read.Add(static_cast<Us>(spec_.timeout_us));
-    }
-    for (std::uint64_t i = 0; i < writes; ++i) {
-      dev.epoch_write[epoch].Add(static_cast<Us>(spec_.timeout_us));
-    }
-    dev.epoch_timeouts += reads + writes;
-    dev.completed_reads = dev.submitted_reads;
-    dev.completed_writes = dev.submitted_writes;
-    if (dev.tracer != nullptr) {
-      // `until - 1` keeps the charge inside THIS epoch's row (the tracer
-      // would file `until` itself under the next one).
-      dev.tracer->ChargeDeadDevice(reads, writes,
-                                   static_cast<Us>(spec_.timeout_us),
-                                   until - 1);
-    }
+    // Unrecoverable media error (e.g. spare blocks exhausted mid-GC).
+    // `until - 1` keeps the tracer's charge inside THIS epoch's row (it
+    // would file `until` itself under the next one).
+    ChargeDeadDevice(dev, epoch, until - 1);
+  }
+}
+
+void ClusterSim::ChargeDeadDevice(Device& dev, std::uint32_t epoch,
+                                  Us charge_at) {
+  // The device is gone.  Its in-flight user requests never complete —
+  // charge them the SLA timeout in the epoch the device died.
+  dev.fatal = true;
+  dev.bucket.clear();
+  const std::uint64_t reads = dev.submitted_reads - dev.completed_reads;
+  const std::uint64_t writes = dev.submitted_writes - dev.completed_writes;
+  const auto timeout = static_cast<Us>(spec_.timeout_us);
+  for (std::uint64_t i = 0; i < reads; ++i) {
+    dev.epoch_read[epoch].Add(timeout);
+    dev.run_read.Add(timeout);
+  }
+  for (std::uint64_t i = 0; i < writes; ++i) {
+    dev.epoch_write[epoch].Add(timeout);
+  }
+  dev.epoch_timeouts += reads + writes;
+  dev.completed_reads = dev.submitted_reads;
+  dev.completed_writes = dev.submitted_writes;
+  if (dev.tracer != nullptr) {
+    dev.tracer->ChargeDeadDevice(reads, writes, timeout, charge_at);
   }
 }
 
@@ -344,7 +320,8 @@ void ClusterSim::DirectorStep(std::uint32_t epoch, ClusterResult& result) {
     if (observed && !dev.fatal && !dev.drained) {
       obs::HealthMonitor& health = health_[d];
       obs::SloMonitor& slo = slo_[d];
-      health.Observe(CollectHealthSample(dev));
+      health.Observe(
+          campaign::CollectHealthSample(*dev.ssd, dev.tracer.get()));
       slo.ObserveWindow(dev.epoch_read[epoch].quantiles());
       const obs::HealthState state = health.state();
       if (state == obs::HealthState::kDegraded) {
@@ -426,25 +403,9 @@ ClusterResult ClusterSim::Run(std::uint32_t workers_override) {
     try {
       dev.host->Run();
     } catch (const std::exception&) {
-      dev.fatal = true;
-      const std::uint64_t reads = dev.submitted_reads - dev.completed_reads;
-      const std::uint64_t writes =
-          dev.submitted_writes - dev.completed_writes;
-      for (std::uint64_t i = 0; i < reads; ++i) {
-        dev.epoch_read[last].Add(static_cast<Us>(spec_.timeout_us));
-        dev.run_read.Add(static_cast<Us>(spec_.timeout_us));
-      }
-      for (std::uint64_t i = 0; i < writes; ++i) {
-        dev.epoch_write[last].Add(static_cast<Us>(spec_.timeout_us));
-      }
-      dev.epoch_timeouts += reads + writes;
-      dev.completed_reads = dev.submitted_reads;
-      dev.completed_writes = dev.submitted_writes;
-      if (dev.tracer != nullptr) {
-        dev.tracer->ChargeDeadDevice(
-            reads, writes, static_cast<Us>(spec_.timeout_us),
-            run_start_us_ + static_cast<Us>(spec_.epochs) * spec_.epoch_us - 1);
-      }
+      ChargeDeadDevice(
+          dev, last,
+          run_start_us_ + static_cast<Us>(spec_.epochs) * spec_.epoch_us - 1);
     }
   });
 

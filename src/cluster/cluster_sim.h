@@ -176,9 +176,10 @@ class ClusterSim {
   /// Fills the move-accounting fields of `event`.
   void RebalanceDevice(std::uint32_t d, std::uint32_t epoch,
                        ClusterResult& result, campaign::Json& event);
-  /// Snapshot of one device's cumulative wear / media-error / GC counters
-  /// for the health monitor (serial director phase only).
-  obs::HealthSample CollectHealthSample(const Device& dev) const;
+  /// A device died (its host path threw): mark it fatal and charge its
+  /// in-flight user requests the SLA timeout in `epoch`, with the tracer's
+  /// dead-device charge filed at `charge_at`.
+  void ChargeDeadDevice(Device& dev, std::uint32_t epoch, Us charge_at);
 
   std::uint32_t EpochOf(Us at) const;
   std::uint64_t UserOffset(std::uint64_t user) const;

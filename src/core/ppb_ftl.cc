@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/logging.h"
-
 namespace ctflash::core {
 
 void PpbConfig::Validate() const {

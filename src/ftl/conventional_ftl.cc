@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/logging.h"
-
 namespace ctflash::ftl {
 
 ConventionalFtl::ConventionalFtl(FlashTarget& target, const FtlConfig& config)

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "obs/media_hook.h"
-#include "util/logging.h"
 
 namespace ctflash::ftl {
 
@@ -29,8 +28,6 @@ namespace {
 
 [[noreturn]] void ThrowProtocolViolation(const char* op, std::uint64_t id,
                                          nand::NandStatus st) {
-  LOG_ERROR << "FlashTarget::" << op << "(" << id
-            << "): " << nand::NandStatusName(st);
   throw MediaError(std::string("FlashTarget::") + op + "(" +
                    std::to_string(id) + "): " + nand::NandStatusName(st));
 }

@@ -1,14 +1,13 @@
 // MetricsRegistry: one enumerable, mergeable home for every counter,
 // gauge, and latency histogram the stack reports.
 //
-// The tree grew a *Stats struct per subsystem (FtlStats, HostStats,
-// TenantStats, FaultStats, ReadErrorStats, ...) — each with its own field
-// list, JSON shape, and merge story.  The registry unifies them behind
-// hierarchical dot-separated names ("ftl.gc.page_copies",
-// "host.read.latency") so exporters, campaign reports, and time-series
-// sampling can enumerate everything without knowing any struct layout.
-// obs/stats_export.h converts the existing families into registry entries;
-// they keep their structs as the hot-path representation.
+// The tree keeps a *Stats struct per subsystem (FtlStats, HostStats,
+// TenantStats, FaultStats, ReadErrorStats, ...) as the hot-path
+// representation, each with its own field list and JSON shape.  The
+// registry gives report-time numbers hierarchical dot-separated names
+// ("gc_qos.read.media.p99_us") so exporters can enumerate them without
+// knowing any struct layout; obs/export.h's ExportPhaseStats fills it from
+// the tracer's phase aggregates and benches add their own counters.
 //
 // Three metric kinds, matching how they merge across shards/devices:
 //   counters   - uint64, merge by sum;

@@ -1,42 +1,18 @@
 #include "util/logging.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace ctflash::util {
 
-namespace {
-LogLevel g_level = LogLevel::kWarn;
-}
-
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
-
-const char* LogLevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
-}
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+void CheckFailed(const char* condition, const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
   }
-  stream_ << "[" << LogLevelName(level) << " " << base << ":" << line << "] ";
-}
-
-LogMessage::~LogMessage() {
-  stream_ << "\n";
-  std::cerr << stream_.str();
+  std::fprintf(stderr, "[ERROR %s:%d] CHECK failed: %s\n", base, line,
+               condition);
+  std::abort();
 }
 
 }  // namespace ctflash::util

@@ -1,64 +1,21 @@
-// Lightweight leveled logger + assertion macro.
+// Always-on invariant check.
 //
-// The simulator is single-threaded by design (a discrete-event model), so the
-// logger keeps no locks.  CTFLASH_CHECK is an always-on invariant check used
-// at module boundaries; internal hot paths use plain assert().
+// CTFLASH_CHECK guards invariants at module boundaries: on failure it
+// prints the condition with its file and line to stderr and aborts.
+// Internal hot paths use plain assert().
 #pragma once
-
-#include <iostream>
-#include <sstream>
-#include <string>
 
 namespace ctflash::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Process-wide minimum level; messages below it are dropped.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
-const char* LogLevelName(LogLevel level);
-
-/// Builds one log line and emits it on destruction.
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
-
-  template <typename T>
-  LogMessage& operator<<(const T& value) {
-    stream_ << value;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
+/// Prints "CHECK failed: <condition>" with its source location, then aborts.
+[[noreturn]] void CheckFailed(const char* condition, const char* file,
+                              int line);
 
 }  // namespace ctflash::util
 
-#define CTFLASH_LOG(level)                                               \
-  if (static_cast<int>(level) < static_cast<int>(::ctflash::util::GetLogLevel())) \
-    ;                                                                    \
-  else                                                                   \
-    ::ctflash::util::LogMessage(level, __FILE__, __LINE__)
-
-#define LOG_DEBUG CTFLASH_LOG(::ctflash::util::LogLevel::kDebug)
-#define LOG_INFO CTFLASH_LOG(::ctflash::util::LogLevel::kInfo)
-#define LOG_WARN CTFLASH_LOG(::ctflash::util::LogLevel::kWarn)
-#define LOG_ERROR CTFLASH_LOG(::ctflash::util::LogLevel::kError)
-
-/// Always-on invariant check (terminates with a message on failure).
-#define CTFLASH_CHECK(cond)                                                   \
-  do {                                                                        \
-    if (!(cond)) {                                                            \
-      ::ctflash::util::LogMessage(::ctflash::util::LogLevel::kError, __FILE__, \
-                                  __LINE__)                                   \
-          << "CHECK failed: " #cond;                                          \
-      std::abort();                                                           \
-    }                                                                         \
+#define CTFLASH_CHECK(cond)                                       \
+  do {                                                            \
+    if (!(cond)) {                                                \
+      ::ctflash::util::CheckFailed(#cond, __FILE__, __LINE__);    \
+    }                                                             \
   } while (false)

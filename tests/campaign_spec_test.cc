@@ -64,6 +64,26 @@ TEST(CampaignJson, RejectsMalformedInputWithPosition) {
   EXPECT_THROW(Json::Parse(""), std::runtime_error);
 }
 
+TEST(CampaignJson, IntegralAccessorsRejectNumbersOutsideInt64) {
+  const auto error_of = [](const char* text) -> std::string {
+    try {
+      Json::Parse(text).AsInt();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_NE(error_of("1e19").find("found 1e+19"), std::string::npos);
+  EXPECT_NE(error_of("1e999").find("found inf"), std::string::npos);
+  EXPECT_NE(error_of("-1e999").find("found -inf"), std::string::npos);
+  // INT64_MAX itself rounds up to 2^63 as a double.
+  EXPECT_NE(error_of("9223372036854775807").find("int64 range"),
+            std::string::npos);
+  EXPECT_EQ(Json::Parse("-9223372036854775808").AsInt(), INT64_MIN);
+  EXPECT_EQ(Json::Parse("9007199254740992").AsUint(), 9007199254740992u);
+  EXPECT_THROW(Json::Parse("1e19").AsUint(), std::runtime_error);
+}
+
 TEST(CampaignJson, MergePatchFollowsRfc7386) {
   const Json base = Json::Parse(R"({"a": {"x": 1, "y": 2}, "b": 3, "c": 4})");
   const Json patch = Json::Parse(R"({"a": {"y": 9}, "b": null, "d": 5})");
@@ -174,6 +194,53 @@ TEST(CampaignSpec, ByteSizesAcceptStringsAndNumbers) {
   ASSERT_EQ(spec.arms.size(), 1u);
   EXPECT_EQ(spec.arms[0].merged.Get("device_bytes")->AsString(), "64MiB");
   EXPECT_EQ(spec.arms[0].device.geometry.page_size_bytes, 16384u);
+}
+
+TEST(CampaignSpec, ByteSizesRejectOverflowAndMalformedStrings) {
+  EXPECT_THROW(ResolveDeviceSection(Json::Parse(R"({"page_size": "1.2.3K"})")),
+               std::invalid_argument);
+  try {
+    ResolveDeviceSection(Json::Parse(R"({"device_bytes": "99999999999T"})"));
+    FAIL() << "a device of 2^64 bytes or more was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("99999999999T"), std::string::npos)
+        << e.what();
+  }
+  try {
+    ResolveDeviceSection(Json::Parse(R"({"device_bytes": 1e19})"));
+    FAIL() << "device_bytes 1e19 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("1e+19"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CampaignSpec, DeviceSectionKeysReachSsdConfig) {
+  const DeviceSectionSpec s = ResolveDeviceSection(Json::Parse(R"({
+    "page_size": "8KiB", "speed_ratio": 3.5, "timing_mode": "service_time",
+    "error_model": {},
+    "ppb": {"vb_split": 4, "max_open_fast_vbs": 6,
+            "migrate_on_update": false, "migrate_on_gc": false}
+  })"));
+  EXPECT_DOUBLE_EQ(s.device.timing.speed_ratio, 3.5);
+  EXPECT_EQ(s.device.geometry.page_size_bytes, 8192u);
+  EXPECT_EQ(s.device.timing_mode, ftl::TimingMode::kServiceTime);
+  EXPECT_TRUE(s.device.model_read_errors);
+  EXPECT_EQ(s.device.ppb.vb_split, 4u);
+  EXPECT_EQ(s.device.ppb.max_open_fast_vbs, 6u);
+  EXPECT_FALSE(s.device.ppb.migrate_on_update);
+  EXPECT_FALSE(s.device.ppb.migrate_on_gc);
+
+  // Absent keys take the reader's defaults.
+  const DeviceSectionSpec d = ResolveDeviceSection(Json(JsonObject{}));
+  EXPECT_DOUBLE_EQ(d.device.timing.speed_ratio, 2.0);
+  EXPECT_EQ(d.device.geometry.page_size_bytes, 16384u);
+  EXPECT_EQ(d.device.timing_mode, ftl::TimingMode::kQueued);
+  EXPECT_FALSE(d.device.model_read_errors);
+  EXPECT_EQ(d.device.ppb.vb_split, 2u);
+  EXPECT_EQ(d.device.ppb.max_open_fast_vbs, 4u);
+  EXPECT_TRUE(d.device.ppb.migrate_on_update);
+  EXPECT_TRUE(d.device.ppb.migrate_on_gc);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace ctflash::util {
 namespace {
@@ -37,6 +38,30 @@ TEST(ParseByteSize, Errors) {
   EXPECT_THROW(ParseByteSize("KiB"), std::invalid_argument);
   EXPECT_THROW(ParseByteSize("12XB"), std::invalid_argument);
   EXPECT_THROW(ParseByteSize("abc"), std::invalid_argument);
+  EXPECT_THROW(ParseByteSize("."), std::invalid_argument);
+}
+
+TEST(ParseByteSize, DigitOnlyMantissasAreExact) {
+  // 2^53 + 1 is the first integer a double cannot hold.
+  EXPECT_EQ(ParseByteSize("9007199254740993"), 9007199254740993ull);
+  EXPECT_EQ(ParseByteSize("18446744073709551615"), 18446744073709551615ull);
+  EXPECT_EQ(ParseByteSize("16777215T"), 16777215ull << 40);
+}
+
+TEST(ParseByteSize, RejectsSizesOf2To64BytesOrMore) {
+  EXPECT_THROW(ParseByteSize("18446744073709551616"), std::invalid_argument);
+  EXPECT_THROW(ParseByteSize("99999999999T"), std::invalid_argument);
+  EXPECT_THROW(ParseByteSize("16777216T"), std::invalid_argument);
+  EXPECT_THROW(ParseByteSize("16777216.0T"), std::invalid_argument);
+  EXPECT_THROW(ParseByteSize("1" + std::string(400, '0') + ".5"),
+               std::invalid_argument);
+  EXPECT_EQ(ParseByteSize("16777215.5T"), 16777215ull * (1ull << 40) +
+                                              (1ull << 39));
+}
+
+TEST(ParseByteSize, RejectsASecondDecimalPoint) {
+  EXPECT_THROW(ParseByteSize("1.2.3K"), std::invalid_argument);
+  EXPECT_THROW(ParseByteSize("1..K"), std::invalid_argument);
 }
 
 TEST(Trim, Basics) {
@@ -46,91 +71,6 @@ TEST(Trim, Basics) {
 }
 
 TEST(ToLower, Basics) { EXPECT_EQ(ToLower("AbC"), "abc"); }
-
-TEST(ConfigMap, ParsesSectionsAndKeys) {
-  const auto cfg = ConfigMap::FromString(R"(
-# comment
-[device]
-page_size = 16KiB
-channels = 4
-; another comment
-[ftl]
-op_ratio = 0.15
-enabled = true
-name = ppb
-)");
-  EXPECT_TRUE(cfg.Has("device", "page_size"));
-  EXPECT_FALSE(cfg.Has("device", "missing"));
-  EXPECT_EQ(cfg.GetBytesOr("device", "page_size", 0), 16384u);
-  EXPECT_EQ(cfg.GetIntOr("device", "channels", 0), 4);
-  EXPECT_DOUBLE_EQ(cfg.GetDoubleOr("ftl", "op_ratio", 0.0), 0.15);
-  EXPECT_TRUE(cfg.GetBoolOr("ftl", "enabled", false));
-  EXPECT_EQ(cfg.GetStringOr("ftl", "name", ""), "ppb");
-}
-
-TEST(ConfigMap, FallbacksWhenMissing) {
-  const ConfigMap cfg;
-  EXPECT_EQ(cfg.GetIntOr("a", "b", 42), 42);
-  EXPECT_DOUBLE_EQ(cfg.GetDoubleOr("a", "b", 1.5), 1.5);
-  EXPECT_TRUE(cfg.GetBoolOr("a", "b", true));
-  EXPECT_EQ(cfg.GetBytesOr("a", "b", 7), 7u);
-  EXPECT_EQ(cfg.GetStringOr("a", "b", "x"), "x");
-  EXPECT_FALSE(cfg.GetString("a", "b").has_value());
-}
-
-TEST(ConfigMap, BoolVariants) {
-  auto cfg = ConfigMap::FromString(
-      "[s]\na=yes\nb=No\nc=ON\nd=off\ne=1\nf=0\n");
-  EXPECT_TRUE(cfg.GetBoolOr("s", "a", false));
-  EXPECT_FALSE(cfg.GetBoolOr("s", "b", true));
-  EXPECT_TRUE(cfg.GetBoolOr("s", "c", false));
-  EXPECT_FALSE(cfg.GetBoolOr("s", "d", true));
-  EXPECT_TRUE(cfg.GetBoolOr("s", "e", false));
-  EXPECT_FALSE(cfg.GetBoolOr("s", "f", true));
-}
-
-TEST(ConfigMap, BadBoolThrows) {
-  auto cfg = ConfigMap::FromString("[s]\na=maybe\n");
-  EXPECT_THROW(cfg.GetBoolOr("s", "a", false), std::invalid_argument);
-}
-
-TEST(ConfigMap, MalformedLinesThrow) {
-  EXPECT_THROW(ConfigMap::FromString("[unterminated\n"), std::invalid_argument);
-  EXPECT_THROW(ConfigMap::FromString("key_without_equals\n"),
-               std::invalid_argument);
-}
-
-TEST(ConfigMap, KeysBeforeAnySectionGoToEmptySection) {
-  auto cfg = ConfigMap::FromString("top = 1\n[s]\nk = 2\n");
-  EXPECT_EQ(cfg.GetIntOr("", "top", 0), 1);
-  EXPECT_EQ(cfg.GetIntOr("s", "k", 0), 2);
-}
-
-TEST(ConfigMap, SetAndRoundtrip) {
-  ConfigMap cfg;
-  cfg.Set("dev", "size", "64GiB");
-  cfg.Set("dev", "pages", "384");
-  const auto round = ConfigMap::FromString(cfg.ToString());
-  EXPECT_EQ(round.GetBytesOr("dev", "size", 0), 64ull << 30);
-  EXPECT_EQ(round.GetIntOr("dev", "pages", 0), 384);
-}
-
-TEST(ConfigMap, MissingFileThrows) {
-  EXPECT_THROW(ConfigMap::FromFile("/nonexistent/path/cfg.ini"),
-               std::runtime_error);
-}
-
-TEST(ConfigMap, InlineCommentsStripped) {
-  auto cfg = ConfigMap::FromString(
-      "[s]\nsize = 16KiB  # page size\nmode = fast ; note\n");
-  EXPECT_EQ(cfg.GetBytesOr("s", "size", 0), 16384u);
-  EXPECT_EQ(cfg.GetStringOr("s", "mode", ""), "fast");
-}
-
-TEST(ConfigMap, HexIntegers) {
-  auto cfg = ConfigMap::FromString("[s]\nmask = 0xff\n");
-  EXPECT_EQ(cfg.GetIntOr("s", "mask", 0), 255);
-}
 
 }  // namespace
 }  // namespace ctflash::util
