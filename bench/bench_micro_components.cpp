@@ -53,6 +53,30 @@ void BM_LatencyModelRead(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyModelRead);
 
+// The per-page device path every simulated read takes: a service-time
+// ReadPageChecked on a programmed page plus the DieFreeAt probe the
+// scheduler and the write allocators make, striding over blocks and pages
+// so each iteration decodes a different block location and page latency.
+void BM_FlashTargetReadChecked(benchmark::State& state) {
+  nand::NandGeometry g;
+  g.blocks_per_plane = 4;
+  ftl::FlashTarget ft(g, nand::NandTiming{});
+  for (BlockId b = 0; b < g.TotalBlocks(); ++b) {
+    for (std::uint32_t p = 0; p < g.pages_per_block; ++p) {
+      ft.ProgramPage(g.PpnOf(b, p), 0);
+    }
+  }
+  BlockId block = 0;
+  std::uint32_t page = 0;
+  for (auto _ : state) {
+    const ftl::MediaReadResult r = ft.ReadPageChecked(g.PpnOf(block, page), 0);
+    benchmark::DoNotOptimize(r.done + ft.DieFreeAt(block));
+    block = (block + 5) % g.TotalBlocks();
+    page = (page + 13) % g.pages_per_block;
+  }
+}
+BENCHMARK(BM_FlashTargetReadChecked);
+
 void BM_MappingTableUpdate(benchmark::State& state) {
   ftl::MappingTable map(1 << 16, 1 << 17);
   util::Xoshiro256StarStar rng(3);

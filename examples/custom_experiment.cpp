@@ -75,11 +75,11 @@ ctflash::ssd::SsdConfig BuildConfig(const Json& spec, const char* ftl) {
       spec.GetUintOr("gc_threshold_high", cfg.ftl.gc_threshold_high);
   cfg.ftl.charge_gc_to_write =
       spec.GetBoolOr("charge_gc_to_write", cfg.ftl.charge_gc_to_write);
-  cfg.ftl.wear.delta_threshold = static_cast<std::uint32_t>(
-      spec.GetUintOr("wear_delta", cfg.ftl.wear.delta_threshold));
+  cfg.ftl.wear.delta_threshold =
+      spec.GetUint32Or("wear_delta", cfg.ftl.wear.delta_threshold);
   if (const Json* ppb = spec.Get("ppb")) {
-    cfg.ppb.cold_promote_threshold = static_cast<std::uint32_t>(
-        ppb->GetUintOr("cold_promote_threshold", cfg.ppb.cold_promote_threshold));
+    cfg.ppb.cold_promote_threshold = ppb->GetUint32Or(
+        "cold_promote_threshold", cfg.ppb.cold_promote_threshold);
   }
   return cfg;
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace ctflash::campaign {
@@ -285,6 +286,17 @@ std::uint64_t Json::AsUint() const {
   return static_cast<std::uint64_t>(v);
 }
 
+std::uint32_t Json::AsUint32(const std::string& name) const {
+  const std::uint64_t v = AsUint();
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("json: \"" + name + "\" must be at most " +
+                                std::to_string(
+                                    std::numeric_limits<std::uint32_t>::max()) +
+                                ", found " + std::to_string(v));
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 const std::string& Json::AsString() const {
   if (kind_ != Kind::kString) {
     throw std::runtime_error(std::string("json: expected string, found ") + KindName(kind_));
@@ -344,6 +356,12 @@ std::int64_t Json::GetIntOr(const std::string& key, std::int64_t fallback) const
 std::uint64_t Json::GetUintOr(const std::string& key, std::uint64_t fallback) const {
   const Json* v = Get(key);
   return v == nullptr || v->IsNull() ? fallback : v->AsUint();
+}
+
+std::uint32_t Json::GetUint32Or(const std::string& key,
+                                std::uint32_t fallback) const {
+  const Json* v = Get(key);
+  return v == nullptr || v->IsNull() ? fallback : v->AsUint32(key);
 }
 
 std::string Json::GetStringOr(const std::string& key,

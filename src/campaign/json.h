@@ -57,6 +57,10 @@ class Json {
   /// numbers outside the int64 range (infinities included).
   std::int64_t AsInt() const;
   std::uint64_t AsUint() const;
+  /// AsUint for a value stored in 32 bits: throws std::invalid_argument
+  /// naming `name` (the spec key it was read from) when it exceeds
+  /// UINT32_MAX, instead of letting a narrowing cast wrap it.
+  std::uint32_t AsUint32(const std::string& name) const;
   const std::string& AsString() const;
   const JsonArray& AsArray() const;
   const JsonObject& AsObject() const;
@@ -70,6 +74,8 @@ class Json {
   double GetDoubleOr(const std::string& key, double fallback) const;
   std::int64_t GetIntOr(const std::string& key, std::int64_t fallback) const;
   std::uint64_t GetUintOr(const std::string& key, std::uint64_t fallback) const;
+  /// GetUintOr checked through AsUint32(key).
+  std::uint32_t GetUint32Or(const std::string& key, std::uint32_t fallback) const;
   std::string GetStringOr(const std::string& key, const std::string& fallback) const;
 
   /// Object field assignment (makes this an object if null).

@@ -64,8 +64,7 @@ Json LoadStatsJson(const host::LoadStats& stats) {
 Json RunClosedLoop(host::HostInterface& host, const Json& w,
                    std::uint64_t prefill_bytes, std::uint64_t seed) {
   host::TenantWorkload stream;
-  stream.queue_depth =
-      static_cast<std::uint32_t>(w.GetUintOr("queue_depth", 8));
+  stream.queue_depth = w.GetUint32Or("queue_depth", 8);
   stream.total_requests = w.GetUintOr("requests", 10'000);
   stream.read_fraction = w.GetDoubleOr("read_fraction", 1.0);
   stream.request_bytes = BytesOf(w, "request_bytes", 16 * kKiB);
@@ -92,8 +91,8 @@ Json RunTenants(host::HostInterface& host, const Json& w,
   for (std::size_t i = 0; i < n; ++i) {
     const Json& t = list->AsArray()[i];
     host::TenantWorkload tw;
-    tw.tenant = static_cast<qos::TenantId>(t.GetUintOr("tenant", i));
-    tw.queue_depth = static_cast<std::uint32_t>(t.GetUintOr("queue_depth", 8));
+    tw.tenant = t.GetUint32Or("tenant", static_cast<qos::TenantId>(i));
+    tw.queue_depth = t.GetUint32Or("queue_depth", 8);
     tw.interarrival_us = static_cast<Us>(t.GetUintOr("interarrival_us", 0));
     tw.total_requests = t.GetUintOr("requests", 1'000);
     tw.read_fraction = t.GetDoubleOr("read_fraction", 1.0);

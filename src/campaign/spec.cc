@@ -1,5 +1,6 @@
 #include "campaign/spec.h"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -52,10 +53,10 @@ qos::QosConfig ParseQos(const Json& arm) {
   for (const Json& t : list->AsArray()) {
     qos::TenantConfig tenant;
     tenant.name = t.GetStringOr("name", "tenant" + std::to_string(qos.tenants.size()));
-    tenant.weight = static_cast<std::uint32_t>(t.GetUintOr("weight", 1));
+    tenant.weight = t.GetUint32Or("weight", 1);
     if (const Json* queues = t.Get("queues")) {
       for (const Json& q : queues->AsArray()) {
-        tenant.queues.push_back(static_cast<std::uint32_t>(q.AsUint()));
+        tenant.queues.push_back(q.AsUint32("queues"));
       }
     }
     tenant.iops_limit = t.GetDoubleOr("iops_limit", 0.0);
@@ -99,17 +100,16 @@ ArmSpec ResolveArm(const Json& merged, std::uint64_t index,
     }
     if (const Json* chans = f->Get("fail_channels"); chans != nullptr) {
       for (const Json& c : chans->AsArray()) {
-        p.fail_channels.push_back(static_cast<std::uint32_t>(c.AsUint()));
+        p.fail_channels.push_back(c.AsUint32("fail_channels"));
       }
     }
     p.fail_at_us = static_cast<Us>(f->GetUintOr("fail_at_us", 0));
     p.Validate();
     ftl::FaultHandlingConfig& h = arm.fault_handling;
-    h.max_read_retries = static_cast<std::uint32_t>(
-        f->GetUintOr("max_read_retries", h.max_read_retries));
+    h.max_read_retries = f->GetUint32Or("max_read_retries", h.max_read_retries);
     h.retry_rber_scale = f->GetDoubleOr("retry_rber_scale", h.retry_rber_scale);
-    h.max_program_retries = static_cast<std::uint32_t>(
-        f->GetUintOr("max_program_retries", h.max_program_retries));
+    h.max_program_retries =
+        f->GetUint32Or("max_program_retries", h.max_program_retries);
     h.Validate();
     // Golden-ratio mix keeps replica arms (seed + index) on well-separated
     // fault streams even though their seeds differ by 1.
@@ -150,16 +150,19 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
   DeviceSectionSpec out;
 
   const std::uint64_t device_bytes = BytesOf(merged, "device_bytes", 256 * kMiB);
-  const auto page_size =
-      static_cast<std::uint32_t>(BytesOf(merged, "page_size", 16 * kKiB));
+  const std::uint64_t page_bytes = BytesOf(merged, "page_size", 16 * kKiB);
+  if (page_bytes > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("campaign: page_size must be below 4 GiB, "
+                                "found " + std::to_string(page_bytes) +
+                                " bytes");
+  }
+  const auto page_size = static_cast<std::uint32_t>(page_bytes);
   const double speed_ratio = merged.GetDoubleOr("speed_ratio", 2.0);
-  const auto channels =
-      static_cast<std::uint32_t>(merged.GetUintOr("channels", 0));
+  const auto channels = merged.GetUint32Or("channels", 0);
   // Shorter blocks shrink the GC/retirement granularity without touching
   // per-page program cost — wear scenarios use this to make small scaled
   // devices churn like big ones.
-  const auto pages_per_block =
-      static_cast<std::uint32_t>(merged.GetUintOr("pages_per_block", 0));
+  const auto pages_per_block = merged.GetUint32Or("pages_per_block", 0);
 
   nand::NandGeometry base_shape;  // defaults = the paper's Table 1 shape
   if (channels != 0) base_shape.channels = channels;
@@ -177,15 +180,14 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
       ParseTimingMode(merged.GetStringOr("timing_mode", "queued"));
   out.device.ftl.gc_routing =
       ParseGcRouting(merged.GetStringOr("gc_routing", "inline"));
-  out.device.ftl.write_frontiers =
-      static_cast<std::uint32_t>(merged.GetUintOr("write_frontiers", 1));
+  out.device.ftl.write_frontiers = merged.GetUint32Or("write_frontiers", 1);
   out.device.ftl.stripe_policy =
       ParseStripePolicy(merged.GetStringOr("stripe_policy", "round_robin"));
   if (const Json* ppb = merged.Get("ppb")) {
     out.device.ppb.vb_split =
-        static_cast<std::uint32_t>(ppb->GetUintOr("vb_split", out.device.ppb.vb_split));
-    out.device.ppb.max_open_fast_vbs = static_cast<std::uint32_t>(
-        ppb->GetUintOr("max_open_fast_vbs", out.device.ppb.max_open_fast_vbs));
+        ppb->GetUint32Or("vb_split", out.device.ppb.vb_split);
+    out.device.ppb.max_open_fast_vbs =
+        ppb->GetUint32Or("max_open_fast_vbs", out.device.ppb.max_open_fast_vbs);
     out.device.ppb.migrate_on_update =
         ppb->GetBoolOr("migrate_on_update", out.device.ppb.migrate_on_update);
     out.device.ppb.migrate_on_gc =
@@ -194,16 +196,15 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
   out.device.Validate();
 
   if (const Json* h = merged.Get("host")) {
-    out.host.num_queues =
-        static_cast<std::uint32_t>(h->GetUintOr("num_queues", out.host.num_queues));
-    out.host.queue_capacity = static_cast<std::uint32_t>(
-        h->GetUintOr("queue_capacity", out.host.queue_capacity));
-    out.host.device_slots = static_cast<std::uint32_t>(
-        h->GetUintOr("device_slots", out.host.device_slots));
-    out.host.gc_aging_limit = static_cast<std::uint32_t>(
-        h->GetUintOr("gc_aging_limit", out.host.gc_aging_limit));
-    out.host.write_aging_limit = static_cast<std::uint32_t>(
-        h->GetUintOr("write_aging_limit", out.host.write_aging_limit));
+    out.host.num_queues = h->GetUint32Or("num_queues", out.host.num_queues);
+    out.host.queue_capacity =
+        h->GetUint32Or("queue_capacity", out.host.queue_capacity);
+    out.host.device_slots =
+        h->GetUint32Or("device_slots", out.host.device_slots);
+    out.host.gc_aging_limit =
+        h->GetUint32Or("gc_aging_limit", out.host.gc_aging_limit);
+    out.host.write_aging_limit =
+        h->GetUint32Or("write_aging_limit", out.host.write_aging_limit);
   }
   out.host.qos = ParseQos(merged);
   out.host.Validate();
@@ -224,11 +225,10 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
     m.base_rber = em->GetDoubleOr("base_rber", m.base_rber);
     m.layer_skew = em->GetDoubleOr("layer_skew", m.layer_skew);
     m.pe_scale = em->GetDoubleOr("pe_scale", m.pe_scale);
-    m.codeword_bytes = static_cast<std::uint32_t>(
-        em->GetUintOr("codeword_bytes", m.codeword_bytes));
-    m.correctable_bits_per_codeword = static_cast<std::uint32_t>(
-        em->GetUintOr("correctable_bits_per_codeword",
-                      m.correctable_bits_per_codeword));
+    m.codeword_bytes = em->GetUint32Or("codeword_bytes", m.codeword_bytes);
+    m.correctable_bits_per_codeword =
+        em->GetUint32Or("correctable_bits_per_codeword",
+                        m.correctable_bits_per_codeword);
     m.Validate();
     out.device.error_model_seed =
         em->GetUintOr("seed", out.device.error_model_seed);
@@ -314,7 +314,7 @@ CampaignSpec CampaignSpec::Parse(const Json& root) {
   }
   CampaignSpec spec;
   spec.name = root.GetStringOr("campaign", "campaign");
-  spec.workers = static_cast<std::uint32_t>(root.GetUintOr("workers", 1));
+  spec.workers = root.GetUint32Or("workers", 1);
   if (spec.workers == 0) {
     throw std::runtime_error("campaign: workers must be >= 1");
   }

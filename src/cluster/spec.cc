@@ -65,21 +65,17 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
   }
   ClusterSpec spec;
   spec.name = root.GetStringOr("cluster", "cluster");
-  spec.workers = static_cast<std::uint32_t>(root.GetUintOr("workers", 1));
+  spec.workers = root.GetUint32Or("workers", 1);
   spec.seed = root.GetUintOr("seed", 1);
 
   if (const Json* fleet = root.Get("fleet"); fleet != nullptr) {
-    spec.router.num_devices =
-        static_cast<std::uint32_t>(fleet->GetUintOr("devices", 8));
-    spec.router.spare_devices =
-        static_cast<std::uint32_t>(fleet->GetUintOr("spares", 0));
+    spec.router.num_devices = fleet->GetUint32Or("devices", 8);
+    spec.router.spare_devices = fleet->GetUint32Or("spares", 0);
   }
   if (const Json* r = root.Get("router"); r != nullptr) {
-    spec.router.num_shards =
-        static_cast<std::uint32_t>(r->GetUintOr("shards", 256));
-    spec.router.replicas =
-        static_cast<std::uint32_t>(r->GetUintOr("replicas", 2));
-    spec.router.vnodes = static_cast<std::uint32_t>(r->GetUintOr("vnodes", 64));
+    spec.router.num_shards = r->GetUint32Or("shards", 256);
+    spec.router.replicas = r->GetUint32Or("replicas", 2);
+    spec.router.vnodes = r->GetUint32Or("vnodes", 64);
     spec.router.seed = r->GetUintOr("seed", spec.seed);
   } else {
     spec.router.seed = spec.seed;
@@ -98,9 +94,8 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
   std::uint32_t user_weight = 8;
   std::uint32_t rebuild_weight = 1;
   if (const Json* q = root.Get("qos"); q != nullptr) {
-    user_weight = static_cast<std::uint32_t>(q->GetUintOr("user_weight", 8));
-    rebuild_weight =
-        static_cast<std::uint32_t>(q->GetUintOr("rebuild_weight", 1));
+    user_weight = q->GetUint32Or("user_weight", 8);
+    rebuild_weight = q->GetUint32Or("rebuild_weight", 1);
   }
   spec.user_weight = user_weight;
   spec.rebuild_weight = rebuild_weight;
@@ -124,7 +119,7 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
     spec.rate_iops = w->GetDoubleOr("rate_iops", 20'000.0);
     spec.read_fraction = w->GetDoubleOr("read_fraction", 0.9);
     spec.request_bytes = campaign::BytesOf(*w, "request_bytes", 16 * kKiB);
-    spec.epochs = static_cast<std::uint32_t>(w->GetUintOr("epochs", 6));
+    spec.epochs = w->GetUint32Or("epochs", 6);
     spec.epoch_us = static_cast<Us>(w->GetUintOr("epoch_us", 250'000));
     spec.timeout_us = static_cast<Us>(w->GetUintOr("timeout_us", 1'000'000));
   }
@@ -133,8 +128,7 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
     spec.fail_on_lost_pages = r->GetUintOr("fail_on_lost_pages", 1);
     spec.migration_chunk_bytes =
         campaign::BytesOf(*r, "migration_chunk", 64 * kKiB);
-    spec.rebuild_epochs =
-        static_cast<std::uint32_t>(r->GetUintOr("rebuild_epochs", 0));
+    spec.rebuild_epochs = r->GetUint32Or("rebuild_epochs", 0);
     spec.rebuild_bytes_per_sec = r->GetDoubleOr("rebuild_bytes_per_sec", 0.0);
     if (spec.rebuild_bytes_per_sec < 0.0) {
       throw std::runtime_error(
@@ -157,8 +151,8 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
       spec.slo.quantile = s->GetDoubleOr("quantile", spec.slo.quantile);
       spec.slo.min_samples =
           s->GetUintOr("min_samples", spec.slo.min_samples);
-      spec.slo.burn_windows = static_cast<std::uint32_t>(
-          s->GetUintOr("burn_windows", spec.slo.burn_windows));
+      spec.slo.burn_windows =
+          s->GetUint32Or("burn_windows", spec.slo.burn_windows);
       spec.slo.burn_threshold =
           s->GetDoubleOr("burn_threshold", spec.slo.burn_threshold);
     }
@@ -174,7 +168,7 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
                                                !faults->IsNull()) {
     for (const Json& f : faults->AsArray()) {
       DeviceFaultSpec fault;
-      fault.device = static_cast<DeviceId>(f.GetUintOr("device", 0));
+      fault.device = f.GetUint32Or("device", 0);
       fault.kind = f.GetStringOr("kind", "channel");
       fault.at_us = static_cast<Us>(f.GetUintOr("at_us", 0));
       if (fault.kind == "wear") {

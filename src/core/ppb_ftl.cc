@@ -48,7 +48,7 @@ PpbFtl::PpbFtl(ftl::FlashTarget& target, const ftl::FtlConfig& ftl_config,
            VbStripingConfig{
                ftl::WriteAllocatorConfig{ftl_config.write_frontiers,
                                          ftl_config.stripe_policy},
-               [this](BlockId b) { return target_.geometry().DieOfBlock(b); },
+               [this](BlockId b) { return target_.nand().LocationOf(b).die; },
                [this](BlockId b) { return target_.DieFreeAt(b); },
                target.geometry().TotalDies(),
                ftl_config.gc_threshold_low,

@@ -61,7 +61,7 @@
 namespace ctflash::core {
 
 /// Die-striping knobs for the virtual-block lists.  The callbacks are
-/// required when write_frontiers > 1 (they come from NandGeometry::DieOfBlock
+/// required when write_frontiers > 1 (they come from NandDevice::LocationOf
 /// and FlashTarget::DieFreeAt); the defaults disable striping.
 struct VbStripingConfig {
   ftl::WriteAllocatorConfig alloc;

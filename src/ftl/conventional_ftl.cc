@@ -7,7 +7,7 @@ namespace ctflash::ftl {
 ConventionalFtl::ConventionalFtl(FlashTarget& target, const FtlConfig& config)
     : FtlBase(target, config),
       walloc_(blocks_, target.geometry().pages_per_block,
-              [this](BlockId b) { return target_.geometry().DieOfBlock(b); },
+              [this](BlockId b) { return target_.nand().LocationOf(b).die; },
               [this](BlockId b) { return target_.DieFreeAt(b); },
               target.geometry().TotalDies(),
               WriteAllocatorConfig{config.write_frontiers,

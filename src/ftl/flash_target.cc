@@ -43,13 +43,13 @@ MediaReadResult FlashTarget::ReadPageChecked(Ppn ppn, Us earliest,
                                              ReadKind kind) {
   MediaReadResult out;
   const BlockId block = geometry().BlockOf(ppn);
-  if (faults_ != nullptr && faults_->Unreachable(block, earliest)) {
+  if (faults_ != nullptr &&
+      faults_->Unreachable(nand_.LocationOf(block).die, earliest)) {
     // The die no longer responds: the command times out without touching
     // the array or the timelines.
     StatsFor(kind).lost_reads++;
     if (media_hook_ != nullptr) {
-      media_hook_->OnUnreachable(
-          static_cast<std::uint32_t>(geometry().DieOfBlock(block)), earliest);
+      media_hook_->OnUnreachable(nand_.LocationOf(block).die, earliest);
     }
     out.done = earliest;
     out.die_lost = true;
@@ -58,6 +58,7 @@ MediaReadResult FlashTarget::ReadPageChecked(Ppn ppn, Us earliest,
   Us cell_us = 0;
   const nand::NandStatus st = nand_.Read(ppn, &cell_us);
   if (st != nand::NandStatus::kOk) ThrowProtocolViolation("ReadPage", ppn, st);
+  const nand::BlockLocation& loc = nand_.LocationOf(block);
   const Us xfer_us =
       transfer_bytes == 0 || transfer_bytes >= geometry().page_size_bytes
           ? page_transfer_us_
@@ -104,19 +105,18 @@ MediaReadResult FlashTarget::ReadPageChecked(Ppn ppn, Us earliest,
   if (faults_ != nullptr) faults_->OnRead(block);
   out.retries = extra_senses;
   const Us total_cell_us = cell_us * static_cast<Us>(1 + extra_senses);
-  auto& chip = chips_.At(geometry().ChipOfBlock(block));
-  auto& channel = channels_.At(geometry().ChannelOfBlock(block));
-  auto& die = dies_.At(geometry().DieOfBlock(block));
+  auto& chip = chips_.At(loc.chip);
+  auto& channel = channels_.At(loc.channel);
+  auto& die = dies_.At(loc.die);
   if (mode_ == TimingMode::kServiceTime) {
     chip.Reserve(chip.FreeAt(), total_cell_us);     // busy-time accounting only
     die.Reserve(die.FreeAt(), total_cell_us);
     channel.Reserve(channel.FreeAt(), xfer_us);
     if (media_hook_ != nullptr && extra_senses > 0) {
       // The retry ladder occupies the die after the first sense.
-      media_hook_->OnReadRetry(
-          static_cast<std::uint32_t>(geometry().DieOfBlock(block)),
-          earliest + cell_us, cell_us * static_cast<Us>(extra_senses),
-          extra_senses, !out.uncorrectable);
+      media_hook_->OnReadRetry(loc.die, earliest + cell_us,
+                               cell_us * static_cast<Us>(extra_senses),
+                               extra_senses, !out.uncorrectable);
     }
     out.done = earliest + total_cell_us + xfer_us;
     return out;
@@ -125,10 +125,9 @@ MediaReadResult FlashTarget::ReadPageChecked(Ppn ppn, Us earliest,
   chip.Reserve(chip.FreeAt(), total_cell_us);       // busy-time accounting only
   const sim::Interval xfer = channel.Reserve(cell.end, xfer_us);
   if (media_hook_ != nullptr && extra_senses > 0) {
-    media_hook_->OnReadRetry(
-        static_cast<std::uint32_t>(geometry().DieOfBlock(block)),
-        cell.start + cell_us, cell_us * static_cast<Us>(extra_senses),
-        extra_senses, !out.uncorrectable);
+    media_hook_->OnReadRetry(loc.die, cell.start + cell_us,
+                             cell_us * static_cast<Us>(extra_senses),
+                             extra_senses, !out.uncorrectable);
   }
   out.done = xfer.end;
   return out;
@@ -142,7 +141,8 @@ MediaOpResult FlashTarget::ProgramPageChecked(Ppn ppn, Us earliest) {
   MediaOpResult out;
   const BlockId block = geometry().BlockOf(ppn);
   const bool unreachable =
-      faults_ != nullptr && faults_->Unreachable(block, earliest);
+      faults_ != nullptr &&
+      faults_->Unreachable(nand_.LocationOf(block).die, earliest);
   // The page is consumed even on failure (a failed verify still burns the
   // page; for a lost die we keep the fill bookkeeping consistent so the
   // allocator can burn past its dead frontier blocks).
@@ -151,9 +151,10 @@ MediaOpResult FlashTarget::ProgramPageChecked(Ppn ppn, Us earliest) {
   if (st != nand::NandStatus::kOk) {
     ThrowProtocolViolation("ProgramPage", ppn, st);
   }
-  auto& chip = chips_.At(geometry().ChipOfBlock(block));
-  auto& channel = channels_.At(geometry().ChannelOfBlock(block));
-  auto& die = dies_.At(geometry().DieOfBlock(block));
+  const nand::BlockLocation& loc = nand_.LocationOf(block);
+  auto& chip = chips_.At(loc.chip);
+  auto& channel = channels_.At(loc.channel);
+  auto& die = dies_.At(loc.die);
   if (mode_ == TimingMode::kServiceTime) {
     channel.Reserve(channel.FreeAt(), page_transfer_us_);
     chip.Reserve(chip.FreeAt(), cell_us);
@@ -212,7 +213,8 @@ Us FlashTarget::EraseBlock(BlockId block, Us earliest) {
 MediaOpResult FlashTarget::EraseBlockChecked(BlockId block, Us earliest) {
   MediaOpResult out;
   const bool unreachable =
-      faults_ != nullptr && faults_->Unreachable(block, earliest);
+      faults_ != nullptr &&
+      faults_->Unreachable(nand_.LocationOf(block).die, earliest);
   // Like programs, the erase executes behaviourally even when it then fails
   // verify (or the die is gone): pages reset and P/E bumps, so fill
   // bookkeeping stays consistent; the caller retires the block.
@@ -221,8 +223,9 @@ MediaOpResult FlashTarget::EraseBlockChecked(BlockId block, Us earliest) {
   if (st != nand::NandStatus::kOk) {
     ThrowProtocolViolation("EraseBlock", block, st);
   }
-  auto& chip = chips_.At(geometry().ChipOfBlock(block));
-  auto& die = dies_.At(geometry().DieOfBlock(block));
+  const nand::BlockLocation& loc = nand_.LocationOf(block);
+  auto& chip = chips_.At(loc.chip);
+  auto& die = dies_.At(loc.die);
   if (mode_ == TimingMode::kServiceTime) {
     chip.Reserve(chip.FreeAt(), erase_us);
     die.Reserve(die.FreeAt(), erase_us);
@@ -242,10 +245,6 @@ MediaOpResult FlashTarget::EraseBlockChecked(BlockId block, Us earliest) {
     }
   }
   return out;
-}
-
-Us FlashTarget::DieFreeAt(BlockId block) const {
-  return dies_.At(geometry().DieOfBlock(block)).FreeAt();
 }
 
 Us FlashTarget::CopyPage(Ppn from, Ppn to, Us earliest) {

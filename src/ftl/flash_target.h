@@ -168,7 +168,10 @@ class FlashTarget {
   const sim::ResourcePool& dies() const { return dies_; }
   /// First time the die serving `block` can start a new cell operation.
   /// The host scheduler uses this for conflict-aware dispatch ordering.
-  Us DieFreeAt(BlockId block) const;
+  /// Throws std::out_of_range for a block id >= TotalBlocks().
+  Us DieFreeAt(BlockId block) const {
+    return dies_.At(nand_.LocationOf(block).die).FreeAt();
+  }
   TimingMode mode() const { return mode_; }
 
   /// Arms the synthetic layer error model: every subsequent page read

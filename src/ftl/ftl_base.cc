@@ -174,17 +174,17 @@ Us FtlBase::EraseGcVictim(BlockId victim, Us earliest) {
 }
 
 void FtlBase::OnProgramFailure(Ppn failed_ppn, bool die_lost) {
-  const auto& geo = target_.geometry();
-  const BlockId block = geo.BlockOf(failed_ppn);
+  const nand::NandDevice& nand = target_.nand();
+  const BlockId block = target_.geometry().BlockOf(failed_ppn);
   fault_stats_.program_failures++;
   blocks_.FlagForRetirement(block);
   if (die_lost) {
     // The whole die is gone: retire its spare blocks so allocators stop
     // claiming them.  Idempotent (an already-swept die has no free blocks
     // left), so no extra state to carry through snapshots.
-    const std::uint64_t die = geo.DieOfBlock(block);
+    const std::uint32_t die = nand.LocationOf(block).die;
     blocks_.RetireFreeIf(
-        [&](BlockId b) { return geo.DieOfBlock(b) == die; });
+        [&](BlockId b) { return nand.LocationOf(b).die == die; });
   }
 }
 

@@ -114,9 +114,10 @@ struct PageAllocation {
 
 class WriteAllocator {
  public:
-  /// `die_of` maps a block to its global die index (NandGeometry::DieOfBlock)
-  /// and `die_free_at` to the die timeline's availability
-  /// (FlashTarget::DieFreeAt) for the striping policies.  `total_dies`
+  /// `die_of` maps a block to its global die index (the device's decoded
+  /// NandDevice::LocationOf(block).die) and `die_free_at` to the die
+  /// timeline's availability (FlashTarget::DieFreeAt) for the striping
+  /// policies.  `total_dies`
   /// (NandGeometry::TotalDies) caps a stream's frontier count — beyond it
   /// every die is covered and growth attempts would only rescan the free
   /// list.  `num_streams` independent write contexts are created;

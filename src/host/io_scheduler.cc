@@ -68,7 +68,6 @@ IoScheduler::IoScheduler(ssd::Ssd& ssd, sim::EventQueue& queue,
   // copy queue per plane.
   const auto& geo = ssd_.target().geometry();
   planes_ = static_cast<std::uint32_t>(geo.TotalPlanes());
-  planes_per_die_ = geo.planes_per_die;
   first_write_queue_ = slots * (planes_ + 1);
   first_gc_queue_ = first_write_queue_ + slots;
   queues_.assign(first_gc_queue_ + planes_, Queue{kNil, kNil, kNeutralPlane});
@@ -292,8 +291,11 @@ int IoScheduler::RankOf(const ReadyTxn& rt, bool urgent) const {
 }
 
 IoScheduler::DispatchKey IoScheduler::PlaneKey(std::uint32_t plane) const {
-  return {ssd_.target().dies().At(plane / planes_per_die_).FreeAt(),
-          plane % planes_per_die_};
+  // Blocks are numbered plane-major, so block `plane` is the first block of
+  // global plane `plane`: its decoded location names the plane's die and
+  // its plane within that die.
+  const nand::BlockLocation& loc = ssd_.target().nand().LocationOf(plane);
+  return {ssd_.target().dies().At(loc.die).FreeAt(), loc.plane};
 }
 
 IoScheduler::DispatchKey IoScheduler::KeyOf(const ReadyTxn& rt,
@@ -333,15 +335,15 @@ sched::DispatchContext IoScheduler::ContextOf(const ReadyTxn& rt) const {
   ctx.enqueue_us = rt.enqueue_us;
   ctx.write_held = rt.txn.source == sched::TxnSource::kHostWrite &&
                    write_hold_picks_ != rt.held_base;
-  const auto& geo = ssd_.target().geometry();
+  const ftl::FlashTarget& target = ssd_.target();
+  const auto on_block = [&](BlockId block) {
+    ctx.die = target.nand().LocationOf(block).die;
+    ctx.die_free_at = target.dies().At(ctx.die).FreeAt();
+  };
   switch (rt.txn.source) {
     case sched::TxnSource::kHostRead: {
       const Ppn ppn = ssd_.ftl().ProbePpn(rt.txn.lpn);
-      if (ppn != kInvalidPpn) {
-        const BlockId block = geo.BlockOf(ppn);
-        ctx.die = geo.DieOfBlock(block);
-        ctx.die_free_at = ssd_.target().DieFreeAt(block);
-      }
+      if (ppn != kInvalidPpn) on_block(target.geometry().BlockOf(ppn));
       break;
     }
     case sched::TxnSource::kHostWrite:
@@ -350,15 +352,11 @@ sched::DispatchContext IoScheduler::ContextOf(const ReadyTxn& rt) const {
       ctx.die_free_at =
           ssd_.ftl().ProbeWriteFreeAt().value_or(ctx.dispatch_us);
       break;
-    case sched::TxnSource::kGcCopy: {
-      const BlockId block = geo.BlockOf(rt.txn.gc_src);
-      ctx.die = geo.DieOfBlock(block);
-      ctx.die_free_at = ssd_.target().DieFreeAt(block);
+    case sched::TxnSource::kGcCopy:
+      on_block(target.geometry().BlockOf(rt.txn.gc_src));
       break;
-    }
     case sched::TxnSource::kGcErase:
-      ctx.die = geo.DieOfBlock(rt.txn.gc_block);
-      ctx.die_free_at = ssd_.target().DieFreeAt(rt.txn.gc_block);
+      on_block(rt.txn.gc_block);
       break;
   }
   return ctx;

@@ -289,7 +289,6 @@ class IoScheduler {
 
   // --- ready index (see file header) ---------------------------------------
   std::uint32_t planes_ = 0;        ///< global planes on the device
-  std::uint32_t planes_per_die_ = 0;
   std::uint32_t first_write_queue_ = 0;  ///< read queues precede it
   std::uint32_t first_gc_queue_ = 0;
   std::vector<ReadyTxn> nodes_;     ///< node pool

@@ -28,11 +28,20 @@ NandDevice::NandDevice(const NandGeometry& geometry, const NandTiming& timing,
                        std::uint32_t endurance_pe_cycles)
     : latency_(geometry, timing),
       endurance_(endurance_pe_cycles),
-      blocks_(geometry.TotalBlocks()) {}
+      blocks_(geometry.TotalBlocks()) {
+  locations_.reserve(blocks_.size());
+  for (BlockId b = 0; b < blocks_.size(); ++b) {
+    locations_.push_back(BlockLocation{
+        geometry.PlaneOfBlock(b),
+        static_cast<std::uint32_t>(geometry.DieOfBlock(b)),
+        static_cast<std::uint32_t>(geometry.ChipOfBlock(b)),
+        geometry.ChannelOfBlock(b)});
+  }
+}
 
 NandStatus NandDevice::Program(Ppn ppn, Us* op_us) {
-  if (!ValidPpn(ppn)) return NandStatus::kInvalidAddress;
   const BlockId block = geometry().BlockOf(ppn);
+  if (!ValidBlock(block)) return NandStatus::kInvalidAddress;
   const std::uint32_t page = geometry().PageOf(ppn);
   BlockState& st = blocks_[block];
   if (st.bad) return NandStatus::kBlockBad;
@@ -47,8 +56,8 @@ NandStatus NandDevice::Program(Ppn ppn, Us* op_us) {
 }
 
 NandStatus NandDevice::Read(Ppn ppn, Us* op_us) const {
-  if (!ValidPpn(ppn)) return NandStatus::kInvalidAddress;
   const BlockId block = geometry().BlockOf(ppn);
+  if (!ValidBlock(block)) return NandStatus::kInvalidAddress;
   const std::uint32_t page = geometry().PageOf(ppn);
   const BlockState& st = blocks_[block];
   if (st.bad) return NandStatus::kBlockBad;

@@ -12,6 +12,12 @@
 //
 // The device also tallies per-operation counters and P/E cycles per block,
 // which the FTL layers and the figure benches consume.
+//
+// Each block's place in the channel > chip > die > plane hierarchy is
+// decoded once, at construction, from NandGeometry's flat-index arithmetic
+// into a table beside the block state (LocationOf); the page-latency
+// tables live in LatencyModel.  Per-operation code reads both instead of
+// re-dividing block and page indices.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +40,15 @@ enum class NandStatus {
 };
 
 const char* NandStatusName(NandStatus status);
+
+/// Where a block sits, as NandGeometry decodes it.  Each field holds the
+/// value of the geometry function named beside it.
+struct BlockLocation {
+  std::uint32_t plane = 0;    ///< plane within its die (PlaneOfBlock)
+  std::uint32_t die = 0;      ///< global die index (DieOfBlock)
+  std::uint32_t chip = 0;     ///< global chip index (ChipOfBlock)
+  std::uint32_t channel = 0;  ///< channel index (ChannelOfBlock)
+};
 
 /// Aggregate operation counters.
 struct NandCounters {
@@ -75,6 +90,12 @@ class NandDevice {
   /// verify under fault injection).  Every later op on it returns kBlockBad.
   void MarkBad(BlockId block);
 
+  /// Decoded location of a block; throws std::out_of_range for a block id
+  /// >= TotalBlocks().
+  const BlockLocation& LocationOf(BlockId block) const {
+    return locations_.at(block);
+  }
+
   // --- state queries ------------------------------------------------------
   /// Next page index the block's program pointer allows (== pages_per_block
   /// when the block is full).
@@ -107,12 +128,13 @@ class NandDevice {
     bool bad = false;
   };
 
-  bool ValidPpn(Ppn ppn) const { return ppn < geometry().TotalPages(); }
-  bool ValidBlock(BlockId b) const { return b < geometry().TotalBlocks(); }
+  bool ValidPpn(Ppn ppn) const { return ValidBlock(geometry().BlockOf(ppn)); }
+  bool ValidBlock(BlockId b) const { return b < blocks_.size(); }
 
   LatencyModel latency_;
   std::uint32_t endurance_;
   std::vector<BlockState> blocks_;
+  std::vector<BlockLocation> locations_;  ///< one per block, never changes
   mutable NandCounters counters_;
 };
 

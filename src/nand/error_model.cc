@@ -29,21 +29,28 @@ LayerErrorModel::LayerErrorModel(const NandGeometry& geometry,
     throw std::invalid_argument(
         "LayerErrorModel: page size must be a whole number of codewords");
   }
+  const std::uint32_t layers = geometry_.num_layers;
+  layer_rber_.reserve(geometry_.pages_per_block);
+  for (std::uint32_t page = 0; page < geometry_.pages_per_block; ++page) {
+    const std::uint32_t layer = geometry_.LayerOfPage(page);
+    // A single-layer geometry has no vertical etch gradient: its one layer
+    // is the top of the (degenerate) stack, so depth is 0, not 1 —
+    // otherwise a 1-layer device would eat the full bottom-layer
+    // `layer_skew` while the top layer of every multi-layer device gets
+    // skew^0.
+    const double depth =
+        layers == 1 ? 0.0
+                    : static_cast<double>(layer) / static_cast<double>(layers - 1);
+    layer_rber_.push_back(config_.base_rber *
+                          std::pow(config_.layer_skew, depth));
+  }
 }
 
 double LayerErrorModel::Rber(std::uint32_t page_in_block,
                              std::uint32_t pe_cycles) const {
-  const std::uint32_t layer = geometry_.LayerOfPage(page_in_block);
-  const std::uint32_t layers = geometry_.num_layers;
-  // A single-layer geometry has no vertical etch gradient: its one layer is
-  // the top of the (degenerate) stack, so depth is 0, not 1 — otherwise a
-  // 1-layer device would eat the full bottom-layer `layer_skew` while the
-  // top layer of every multi-layer device gets skew^0.
-  const double depth =
-      layers == 1 ? 0.0
-                  : static_cast<double>(layer) / static_cast<double>(layers - 1);
-  const double rber = config_.base_rber * std::pow(config_.layer_skew, depth) *
-                      std::exp(static_cast<double>(pe_cycles) / config_.pe_scale);
+  const double rber =
+      layer_rber_.at(page_in_block) *
+      std::exp(static_cast<double>(pe_cycles) / config_.pe_scale);
   return rber >= 1.0 ? 1.0 : rber;
 }
 

@@ -12,10 +12,13 @@
 //
 // with depth in [0,1] (1 = bottom).  An LDPC/BCH-style ECC budget declares a
 // page read correctable when sampled bit errors per codeword stay within
-// `correctable_bits_per_codeword`.
+// `correctable_bits_per_codeword`.  The layer factor (base_rber times the
+// skew term) is evaluated once per page of a block at construction; a read
+// only multiplies in the wear term.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "nand/geometry.h"
 #include "util/random.h"
@@ -37,7 +40,8 @@ class LayerErrorModel {
  public:
   LayerErrorModel(const NandGeometry& geometry, const ErrorModelConfig& config);
 
-  /// Raw bit error rate for a page at a given wear level.
+  /// Raw bit error rate for a page at a given wear level; throws
+  /// std::out_of_range for a page index >= pages_per_block.
   double Rber(std::uint32_t page_in_block, std::uint32_t pe_cycles) const;
 
   /// Samples the number of bit errors in one page read (Poisson
@@ -74,6 +78,8 @@ class LayerErrorModel {
 
   NandGeometry geometry_;
   ErrorModelConfig config_;
+  /// base_rber * layer_skew^depth, one per page of a block.
+  std::vector<double> layer_rber_;
 };
 
 }  // namespace ctflash::nand

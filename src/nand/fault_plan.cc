@@ -53,9 +53,9 @@ FaultInjector::FaultInjector(const NandGeometry& geometry,
   }
 }
 
-bool FaultInjector::Unreachable(BlockId block, Us now) const {
+bool FaultInjector::Unreachable(std::uint32_t die, Us now) const {
   if (now < config_.fail_at_us) return false;
-  return die_lost_[geometry_.DieOfBlock(block)];
+  return die_lost_.at(die);
 }
 
 double FaultInjector::RberScale(BlockId block) const {

@@ -70,8 +70,10 @@ class FaultInjector {
            rng_.Bernoulli(config_.erase_fail_prob);
   }
 
-  /// True when the block sits on a die/channel that is lost at time `now`.
-  bool Unreachable(BlockId block, Us now) const;
+  /// True when global die `die` (NandDevice::LocationOf(block).die) is
+  /// lost — itself or with its channel — at time `now`.  Throws
+  /// std::out_of_range for a die index >= TotalDies().
+  bool Unreachable(std::uint32_t die, Us now) const;
 
   /// RBER multiplier for reads of `block`: retention floor plus accumulated
   /// read disturb since the block's last erase.

@@ -17,23 +17,6 @@ void NandTiming::Validate() const {
   }
 }
 
-LatencyModel::LatencyModel(const NandGeometry& geometry,
-                           const NandTiming& timing)
-    : geometry_(geometry), timing_(timing) {
-  geometry_.Validate();
-  timing_.Validate();
-}
-
-double LatencyModel::SpeedFactor(std::uint32_t page_in_block) const {
-  const std::uint32_t layer = geometry_.LayerOfPage(page_in_block);
-  const std::uint32_t layers = geometry_.num_layers;
-  const double depth =
-      layers == 1 ? 1.0
-                  : static_cast<double>(layer) / static_cast<double>(layers - 1);
-  const double inv_r = 1.0 / timing_.speed_ratio;
-  return 1.0 - depth * (1.0 - inv_r);
-}
-
 namespace {
 Us ScaledUs(Us base, double factor) {
   const double v = static_cast<double>(base) * factor;
@@ -42,13 +25,26 @@ Us ScaledUs(Us base, double factor) {
 }
 }  // namespace
 
-Us LatencyModel::ReadUs(std::uint32_t page_in_block) const {
-  return ScaledUs(timing_.page_read_us, SpeedFactor(page_in_block));
-}
-
-Us LatencyModel::ProgramUs(std::uint32_t page_in_block) const {
-  if (!timing_.program_layer_dependent) return timing_.page_program_us;
-  return ScaledUs(timing_.page_program_us, SpeedFactor(page_in_block));
+LatencyModel::LatencyModel(const NandGeometry& geometry,
+                           const NandTiming& timing)
+    : geometry_(geometry), timing_(timing) {
+  geometry_.Validate();
+  timing_.Validate();
+  const std::uint32_t layers = geometry_.num_layers;
+  const double inv_r = 1.0 / timing_.speed_ratio;
+  pages_.reserve(geometry_.pages_per_block);
+  for (std::uint32_t page = 0; page < geometry_.pages_per_block; ++page) {
+    const std::uint32_t layer = geometry_.LayerOfPage(page);
+    const double depth =
+        layers == 1 ? 1.0
+                    : static_cast<double>(layer) / static_cast<double>(layers - 1);
+    const double factor = 1.0 - depth * (1.0 - inv_r);
+    pages_.push_back(PageLatency{
+        factor, ScaledUs(timing_.page_read_us, factor),
+        timing_.program_layer_dependent
+            ? ScaledUs(timing_.page_program_us, factor)
+            : timing_.page_program_us});
+  }
 }
 
 Us LatencyModel::TransferUs(std::uint64_t bytes) const {

@@ -11,9 +11,13 @@
 //     latency(layer) = base * (1 - d * (1 - 1/R))
 // so layer 0 runs at `base` (Table 1 values) and the bottom layer at
 // base / R, with linear field-strength interpolation between.
+//
+// The model evaluates this closed form once per page of a block when it is
+// built; every per-operation query is a bounds-checked table load.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "nand/geometry.h"
 #include "util/types.h"
@@ -42,11 +46,17 @@ class LatencyModel {
   LatencyModel(const NandGeometry& geometry, const NandTiming& timing);
 
   /// Multiplier in (0, 1] applied to base latency for a page; 1.0 at the top
-  /// layer, 1/R at the bottom layer.
-  double SpeedFactor(std::uint32_t page_in_block) const;
-
-  Us ReadUs(std::uint32_t page_in_block) const;
-  Us ProgramUs(std::uint32_t page_in_block) const;
+  /// layer, 1/R at the bottom layer.  Page queries throw std::out_of_range
+  /// for a page index >= pages_per_block.
+  double SpeedFactor(std::uint32_t page_in_block) const {
+    return pages_.at(page_in_block).speed_factor;
+  }
+  Us ReadUs(std::uint32_t page_in_block) const {
+    return pages_.at(page_in_block).read_us;
+  }
+  Us ProgramUs(std::uint32_t page_in_block) const {
+    return pages_.at(page_in_block).program_us;
+  }
   Us EraseUs() const { return timing_.block_erase_us; }
 
   /// Bus time to move `bytes` over the channel.
@@ -61,8 +71,15 @@ class LatencyModel {
   const NandTiming& timing() const { return timing_; }
 
  private:
+  struct PageLatency {
+    double speed_factor;
+    Us read_us;
+    Us program_us;
+  };
+
   NandGeometry geometry_;
   NandTiming timing_;
+  std::vector<PageLatency> pages_;  ///< one per page of a block
 };
 
 }  // namespace ctflash::nand

@@ -84,6 +84,23 @@ TEST(CampaignJson, IntegralAccessorsRejectNumbersOutsideInt64) {
   EXPECT_THROW(Json::Parse("1e19").AsUint(), std::runtime_error);
 }
 
+TEST(CampaignJson, Uint32AccessorsRejectValuesAboveUint32Max) {
+  const Json spec = Json::Parse(R"({"max": 4294967295, "over": 4294967296})");
+  EXPECT_EQ(spec.GetUint32Or("max", 0), 4294967295u);
+  EXPECT_EQ(spec.GetUint32Or("absent", 7), 7u);
+  try {
+    (void)spec.GetUint32Or("over", 0);
+    FAIL() << "4294967296 was accepted as a 32-bit value";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"over\""), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)spec.Get("over")->AsUint32("over"),
+               std::invalid_argument);
+}
+
 TEST(CampaignJson, MergePatchFollowsRfc7386) {
   const Json base = Json::Parse(R"({"a": {"x": 1, "y": 2}, "b": 3, "c": 4})");
   const Json patch = Json::Parse(R"({"a": {"y": 9}, "b": null, "d": 5})");
@@ -213,6 +230,31 @@ TEST(CampaignSpec, ByteSizesRejectOverflowAndMalformedStrings) {
     EXPECT_NE(std::string(e.what()).find("1e+19"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(CampaignSpec, RejectsValuesThatDoNotFitTheir32BitField) {
+  // Each used to be narrowed with an unchecked cast: 4294967300 ran as 4.
+  const auto error_of = [](const char* text) -> std::string {
+    try {
+      ResolveDeviceSection(Json::Parse(text));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_NE(error_of(R"({"ppb": {"vb_split": 4294967300}})").find("vb_split"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"channels": 4294967300})").find("channels"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"page_size": 4294983680})").find("page_size"),
+            std::string::npos);
+  EXPECT_THROW(CampaignSpec::Parse(R"({"workers": 4294967300})"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      CampaignSpec::Parse(R"({"defaults": {"workload": {"kind": "synthetic"},
+                                           "faults": {"fail_channels":
+                                                      [4294967296]}}})"),
+      std::invalid_argument);
 }
 
 TEST(CampaignSpec, DeviceSectionKeysReachSsdConfig) {

@@ -2,6 +2,9 @@
 // tenant synthesis, fault schedules, and validation errors.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cluster/spec.h"
 
 namespace ctflash::cluster {
@@ -204,6 +207,19 @@ TEST(ClusterSpec, RejectsBadSpecs) {
                                      "slo": {"read_p99_target_us": 1000,
                                              "burn_windows": 0}}})"),
                std::runtime_error);
+}
+
+TEST(ClusterSpec, RejectsValuesThatDoNotFitTheir32BitField) {
+  // Parse only: an unchecked cast used to run this spec with 4 workers.
+  try {
+    (void)ClusterSpec::Parse(R"({"workers": 4294967300})");
+    FAIL() << "workers 4294967300 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("workers"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ClusterSpec::Parse(R"({"fleet": {"devices": 4294967298}})"),
+               std::invalid_argument);
 }
 
 TEST(ClusterSpec, ConfigSummaryEchoesTheScenario) {

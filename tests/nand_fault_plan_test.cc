@@ -95,17 +95,15 @@ TEST(FaultInjector, DieLossRespectsSchedule) {
   c.fail_at_us = 1000;
   const NandGeometry g = Geo();
   FaultInjector inj(g, c, 1);
-  // Find one block on die 3 and one elsewhere.
-  BlockId on_die = kInvalidPpn, off_die = kInvalidPpn;
-  for (BlockId b = 0; b < g.TotalBlocks(); ++b) {
-    (g.DieOfBlock(b) == 3 ? on_die : off_die) = b;
+  EXPECT_FALSE(inj.Unreachable(3, 999));   // before the failure time
+  EXPECT_TRUE(inj.Unreachable(3, 1000));   // from fail_at_us onward
+  EXPECT_TRUE(inj.Unreachable(3, 50000));
+  for (std::uint32_t die = 0; die < g.TotalDies(); ++die) {
+    if (die != 3) EXPECT_FALSE(inj.Unreachable(die, 50000)) << die;
   }
-  ASSERT_NE(on_die, kInvalidPpn);
-  ASSERT_NE(off_die, kInvalidPpn);
-  EXPECT_FALSE(inj.Unreachable(on_die, 999));   // before the failure time
-  EXPECT_TRUE(inj.Unreachable(on_die, 1000));   // from fail_at_us onward
-  EXPECT_TRUE(inj.Unreachable(on_die, 50000));
-  EXPECT_FALSE(inj.Unreachable(off_die, 50000));
+  EXPECT_THROW((void)inj.Unreachable(
+                   static_cast<std::uint32_t>(g.TotalDies()), 50000),
+               std::out_of_range);
 }
 
 TEST(FaultInjector, ChannelLossCoversEveryDieOfTheChannel) {
@@ -115,7 +113,8 @@ TEST(FaultInjector, ChannelLossCoversEveryDieOfTheChannel) {
   const NandGeometry g = Geo();
   FaultInjector inj(g, c, 1);
   for (BlockId b = 0; b < g.TotalBlocks(); ++b) {
-    EXPECT_EQ(inj.Unreachable(b, 5), g.ChannelOfBlock(b) == 1u);
+    EXPECT_EQ(inj.Unreachable(static_cast<std::uint32_t>(g.DieOfBlock(b)), 5),
+              g.ChannelOfBlock(b) == 1u);
   }
 }
 
@@ -164,7 +163,7 @@ TEST(FaultInjector, StateRoundTripResumesSchedule) {
   restored.LoadState(r);
   EXPECT_EQ(restored.config().fail_at_us, 777);
   EXPECT_EQ(restored.ReadsSinceErase(2), 9u);
-  EXPECT_TRUE(restored.Unreachable(0, 777));  // channel 0 loss restored
+  EXPECT_TRUE(restored.Unreachable(0, 777));  // die 0: channel 0 loss restored
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(restored.DrawProgramFail(), orig.DrawProgramFail());
     EXPECT_EQ(restored.DrawEraseFail(), orig.DrawEraseFail());
