@@ -1,14 +1,19 @@
 // Ablation bench — which PPB design pieces carry the gains?
 //
-// Runs the web/SQL trace with individual PPB mechanisms disabled, plus the
-// design alternatives DESIGN.md calls out:
+// Runs the web/SQL trace with individual PPB mechanisms disabled, plus two
+// design alternatives (strict pairing, a four-way split):
 //   full            : the complete strategy (reference)
 //   no-gc-migrate   : data never migrates during GC (update-only movement)
 //   no-upd-migrate  : updates ignore hotness (GC-only movement)
 //   strict-pairing  : Algorithm-1 literal allocation (max_open_fast_vbs = 0)
 //   split-4         : four virtual blocks per physical block
 //   always-hot      : first-stage classifier disabled (everything "hot")
+// and prints the variants in the order of the read enhancement it measures.
+#include <algorithm>
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness.h"
 #include "util/table_printer.h"
@@ -57,6 +62,7 @@ int main(int argc, char** argv) {
 
   util::TablePrinter table({"Variant", "Read enh.", "Write delta",
                             "Erase ratio", "WAF"});
+  std::vector<std::pair<double, std::string>> ranked;
   for (const auto& v : variants) {
     const auto res =
         bench::RunOne(ssd::FtlKind::kPpb, bench::Workload::kWebServer,
@@ -66,9 +72,10 @@ int main(int argc, char** argv) {
             ? 1.0
             : static_cast<double>(res.erase_count) /
                   static_cast<double>(baseline.erase_count);
-    table.AddRow({v.name,
-                  util::TablePrinter::FormatPercent(ssd::Enhancement(
-                      baseline.TotalReadSeconds(), res.TotalReadSeconds())),
+    const double read_enhancement = ssd::Enhancement(
+        baseline.TotalReadSeconds(), res.TotalReadSeconds());
+    ranked.emplace_back(read_enhancement, v.name);
+    table.AddRow({v.name, util::TablePrinter::FormatPercent(read_enhancement),
                   util::TablePrinter::FormatPercent(
                       ssd::Enhancement(baseline.TotalWriteSeconds(),
                                        res.TotalWriteSeconds()),
@@ -77,8 +84,19 @@ int main(int argc, char** argv) {
                   util::TablePrinter::FormatDouble(res.waf, 3)});
   }
   table.Print();
-  std::cout << "\nExpected: 'full' leads on read enhancement; removing either\n"
-               "migration path or the first stage shrinks the gain; strict\n"
-               "pairing degenerates placement under demand imbalance.\n";
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  std::cout << "\nMeasured order by read enhancement:";
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    std::cout << (i == 0 ? " " : " > ") << ranked[i].second;
+  }
+  std::cout << "\nAt the default size this is always-hot > split-4 > full >\n"
+               "no-gc-migrate > strict-pairing > no-upd-migrate: sending\n"
+               "every write to the hot area beats the first-stage size check\n"
+               "on web reads, split-4 maps onto the same two speed classes\n"
+               "as full, and removing either migration path or the\n"
+               "open-fast-VB slack shrinks the gain.\n";
   return 0;
 }

@@ -54,8 +54,8 @@ void BM_LatencyModelRead(benchmark::State& state) {
 BENCHMARK(BM_LatencyModelRead);
 
 // The per-page device path every simulated read takes: a service-time
-// ReadPageChecked on a programmed page plus the DieFreeAt probe the
-// scheduler and the write allocators make, striding over blocks and pages
+// ReadPageChecked on a programmed page plus the die-view FreeAt probe the
+// write allocators make, striding over blocks and pages
 // so each iteration decodes a different block location and page latency.
 void BM_FlashTargetReadChecked(benchmark::State& state) {
   nand::NandGeometry g;
@@ -70,7 +70,7 @@ void BM_FlashTargetReadChecked(benchmark::State& state) {
   std::uint32_t page = 0;
   for (auto _ : state) {
     const ftl::MediaReadResult r = ft.ReadPageChecked(g.PpnOf(block, page), 0);
-    benchmark::DoNotOptimize(r.done + ft.DieFreeAt(block));
+    benchmark::DoNotOptimize(r.done + ft.die_view().FreeAt(block));
     block = (block + 5) % g.TotalBlocks();
     page = (page + 13) % g.pages_per_block;
   }

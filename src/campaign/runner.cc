@@ -1,14 +1,17 @@
 #include "campaign/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <exception>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -411,11 +414,18 @@ CampaignResult CampaignRunner::Run(std::uint32_t workers_override) {
   }
   const auto t1 = std::chrono::steady_clock::now();
 
-  // Phase 2: arms.
+  // Phase 2: arms.  Each arm also notes its thread and how many arms were
+  // running when it started (the parallelism evidence in the result).
+  std::vector<std::thread::id> arm_thread(spec_.arms.size());
+  std::vector<std::uint64_t> running_at_start(spec_.arms.size(), 0);
+  std::atomic<std::uint64_t> running{0};
   ParallelFor(spec_.arms.size(), workers, [&](std::size_t i) {
+    arm_thread[i] = std::this_thread::get_id();
+    running_at_start[i] = ++running;
     const DeviceState* shared =
         spec_.share_prefill ? groups[arm_group[i]].state.get() : nullptr;
     result.arms[i] = RunCampaignArm(spec_.arms[i], shared);
+    --running;
   });
   const auto t2 = std::chrono::steady_clock::now();
 
@@ -425,6 +435,11 @@ CampaignResult CampaignRunner::Run(std::uint32_t workers_override) {
   result.prefill_groups = groups.size();
   result.prefill_restores =
       spec_.share_prefill ? spec_.arms.size() : 0;
+  result.arm_threads =
+      std::set<std::thread::id>(arm_thread.begin(), arm_thread.end()).size();
+  for (const std::uint64_t r : running_at_start) {
+    result.peak_arms_in_flight = std::max(result.peak_arms_in_flight, r);
+  }
   return result;
 }
 
@@ -457,6 +472,8 @@ Json CampaignResult::Report() const {
   timing["arms_wall_ms"] = arms_wall_ms;
   timing["prefill_groups"] = prefill_groups;
   timing["prefill_restores"] = prefill_restores;
+  timing["arm_threads"] = arm_threads;
+  timing["peak_arms_in_flight"] = peak_arms_in_flight;
   out["timing"] = std::move(timing);
   return out;
 }

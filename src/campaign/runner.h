@@ -63,6 +63,8 @@ struct CampaignResult {
   double arms_wall_ms = 0.0;
   std::uint64_t prefill_groups = 0;   ///< distinct prefills actually run
   std::uint64_t prefill_restores = 0; ///< arms served from a snapshot
+  std::uint64_t arm_threads = 0;          ///< distinct threads that ran arms
+  std::uint64_t peak_arms_in_flight = 0;  ///< most arms running at once
 
   /// Everything except wall-clock timing: campaign name, per-arm config
   /// echo + metrics.  Dump() of this value is byte-identical across worker

@@ -43,15 +43,11 @@ PpbFtl::PpbFtl(ftl::FlashTarget& target, const ftl::FtlConfig& ftl_config,
                const PpbConfig& ppb_config,
                std::unique_ptr<FirstStageClassifier> classifier)
     : FtlBase(target, ftl_config),
-      vbm_(blocks_, target.geometry().pages_per_block, ppb_config.vb_split,
-           ppb_config.max_open_fast_vbs,
+      vbm_(blocks_, ppb_config.vb_split, ppb_config.max_open_fast_vbs,
            VbStripingConfig{
                ftl::WriteAllocatorConfig{ftl_config.write_frontiers,
                                          ftl_config.stripe_policy},
-               [this](BlockId b) { return target_.nand().LocationOf(b).die; },
-               [this](BlockId b) { return target_.DieFreeAt(b); },
-               target.geometry().TotalDies(),
-               ftl_config.gc_threshold_low,
+               target.die_view(), ftl_config.gc_threshold_low,
                /*gc_claim_reserve_blocks=*/2,
                OpenBlockCap(target.geometry().TotalBlocks(), logical_pages_,
                             target.geometry().pages_per_block, ftl_config)}),

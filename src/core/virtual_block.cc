@@ -1,6 +1,7 @@
 #include "core/virtual_block.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -10,14 +11,13 @@
 namespace ctflash::core {
 
 VirtualBlockManager::VirtualBlockManager(ftl::BlockManager& blocks,
-                                         std::uint32_t pages_per_block,
                                          std::uint32_t split_count,
                                          std::uint32_t max_open_fast_vbs,
                                          VbStripingConfig striping)
     : blocks_(blocks),
-      pages_per_block_(pages_per_block),
+      pages_per_block_(blocks.pages_per_block()),
       split_count_(split_count),
-      pages_per_slice_(split_count == 0 ? 0 : pages_per_block / split_count),
+      pages_per_slice_(split_count == 0 ? 0 : pages_per_block_ / split_count),
       max_open_fast_vbs_(max_open_fast_vbs),
       striping_(std::move(striping)),
       area_of_block_(blocks.total_blocks(), Area::kNone),
@@ -27,23 +27,18 @@ VirtualBlockManager::VirtualBlockManager(ftl::BlockManager& blocks,
     throw std::invalid_argument(
         "VirtualBlockManager: split_count must be an even number >= 2");
   }
-  if (pages_per_block % split_count != 0) {
+  if (pages_per_block_ % split_count != 0) {
     throw std::invalid_argument(
         "VirtualBlockManager: pages_per_block must be divisible by split_count");
   }
-  if (pages_per_block != blocks.pages_per_block()) {
-    throw std::invalid_argument(
-        "VirtualBlockManager: geometry disagrees with BlockManager");
-  }
   striping_.alloc.Validate();
   if (Striping()) {
-    if (!striping_.die_of || !striping_.die_free_at) {
+    if (striping_.dies.DieCount() == 0) {
       throw std::invalid_argument(
-          "VirtualBlockManager: striping requires die_of and die_free_at");
+          "VirtualBlockManager: striping requires a die view");
     }
     for (std::size_t i = 0; i < kStriperCount; ++i) {
-      stripers_.emplace_back(striping_.die_of, striping_.die_free_at,
-                             striping_.alloc.stripe_policy);
+      stripers_.emplace_back(striping_.dies, striping_.alloc.stripe_policy);
     }
   }
 }
@@ -76,8 +71,7 @@ std::optional<BlockId> VirtualBlockManager::ClaimNewBlock(
     // Frontier growth lands on a die the list does not cover yet (the
     // one-open-block-per-die-per-stream rule); when every free block sits
     // on a covered die the list simply doesn't grow.
-    accept =
-        ftl::UncoveredDieFilter(striping_.die_of, slow_lists_[slow_list]);
+    accept = ftl::UncoveredDieFilter(striping_.dies, slow_lists_[slow_list]);
   }
   const auto fresh = blocks_.AllocateBlock(policy, accept);
   if (!fresh) return std::nullopt;
@@ -168,7 +162,7 @@ std::optional<VbAllocation> VirtualBlockManager::AllocatePage(
   }
 
   // Die-striped frontier growth: a slow list writes in parallel across up
-  // to min(write_frontiers, total_dies) dies, growing opportunistically
+  // to min(write_frontiers, DieCount()) dies, growing opportunistically
   // while the free pool stays above the stream's reserve and the open
   // population under the livelock cap (see VbStripingConfig).
   const std::uint64_t reserve = gc_stream ? striping_.gc_claim_reserve_blocks
@@ -195,8 +189,8 @@ std::optional<VbAllocation> VirtualBlockManager::AllocatePage(
   out.ppn = static_cast<Ppn>(block) * pages_per_block_ + page;
   out.slice = SliceOfPage(page);
   out.fast_class = IsFastClassSlice(out.slice);
-  if (gc_stream && striping_.die_of) {
-    gc_dies_.insert(striping_.die_of(block));
+  if (gc_stream && striping_.dies.DieCount() != 0) {
+    gc_dies_.insert(striping_.dies.DieOf(block));
   }
   AdvanceFill(block, *chosen);
   return out;
@@ -209,7 +203,7 @@ std::size_t VirtualBlockManager::PickIndex(std::size_t striper,
 }
 
 std::optional<Us> VirtualBlockManager::EarliestHostFrontierFreeAt() const {
-  if (!striping_.die_free_at) return std::nullopt;
+  if (striping_.dies.DieCount() == 0) return std::nullopt;
   // While the free pool has claim headroom, report "startable now": the
   // write's area/class is unknown before dispatch, and most list states can
   // absorb it immediately (empty lists first-claim via rule III).  This is
@@ -223,7 +217,7 @@ std::optional<Us> VirtualBlockManager::EarliestHostFrontierFreeAt() const {
   std::optional<Us> earliest;
   auto fold = [&](const std::deque<BlockId>& list) {
     for (const BlockId b : list) {
-      const Us free = striping_.die_free_at(b);
+      const Us free = striping_.dies.FreeAt(b);
       if (!earliest || free < *earliest) earliest = free;
     }
   };

@@ -48,7 +48,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <set>
 #include <vector>
@@ -60,16 +59,14 @@
 
 namespace ctflash::core {
 
-/// Die-striping knobs for the virtual-block lists.  The callbacks are
-/// required when write_frontiers > 1 (they come from NandDevice::LocationOf
-/// and FlashTarget::DieFreeAt); the defaults disable striping.
+/// Die-striping knobs for the virtual-block lists; the defaults disable
+/// striping.
 struct VbStripingConfig {
   ftl::WriteAllocatorConfig alloc;
-  std::function<std::uint64_t(BlockId)> die_of;
-  std::function<Us(BlockId)> die_free_at;
-  /// Device die count; caps list growth (beyond it every die is covered
-  /// and growth attempts would only rescan the free list).
-  std::uint64_t total_dies = 0;
+  /// The device's dies (FlashTarget::die_view()); required when
+  /// write_frontiers > 1.  Its DieCount() caps list growth (beyond it every
+  /// die is covered and growth attempts would only rescan the free list).
+  ftl::DieView dies;
   /// Free blocks kept in reserve by HOST-list growth: lists grow beyond
   /// their first open block only while the free pool exceeds this.  The
   /// FTL passes gc_threshold_low — the GC trigger — so growth never brings
@@ -105,14 +102,13 @@ struct VbAllocation {
 
 class VirtualBlockManager {
  public:
-  /// `pages_per_block` must be divisible by `split_count`; `split_count`
-  /// must be an even number >= 2 so both speed classes exist.
+  /// `blocks.pages_per_block()` must be divisible by `split_count`;
+  /// `split_count` must be an even number >= 2 so both speed classes exist.
   /// `max_open_fast_vbs` bounds the open fast-class pool per area (see file
   /// header); 0 recovers the strict Algorithm-1 literal reading, which
   /// degenerates to round-robin placement under demand imbalance — kept for
   /// ablation.
-  VirtualBlockManager(ftl::BlockManager& blocks, std::uint32_t pages_per_block,
-                      std::uint32_t split_count,
+  VirtualBlockManager(ftl::BlockManager& blocks, std::uint32_t split_count,
                       std::uint32_t max_open_fast_vbs = 4,
                       VbStripingConfig striping = {});
 
@@ -152,7 +148,7 @@ class VirtualBlockManager {
   /// Earliest die availability across the HOST-stream frontier blocks (both
   /// areas' slow lists plus the shared fast lists) — the write dispatch
   /// hint behind PpbFtl::ProbeWriteFreeAt.  std::nullopt when no host
-  /// frontier is open or striping callbacks were not configured.
+  /// frontier is open or no die view was configured.
   std::optional<Us> EarliestHostFrontierFreeAt() const;
 
   /// Distinct dies the GC-relocation stream has ever programmed.
@@ -185,12 +181,10 @@ class VirtualBlockManager {
 
   bool Striping() const { return striping_.alloc.write_frontiers > 1; }
 
-  /// Per-list growth cap: min(write_frontiers, total_dies).
+  /// Per-list growth cap: min(write_frontiers, DieCount()).
   std::size_t EffectiveFrontiers() const {
-    const std::uint64_t dies =
-        striping_.total_dies == 0 ? 1 : striping_.total_dies;
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(striping_.alloc.write_frontiers, dies));
+    return static_cast<std::size_t>(std::min<std::uint64_t>(
+        striping_.alloc.write_frontiers, striping_.dies.DieCount()));
   }
 
   /// Claims a fresh block for (area, stream); returns nullopt if none free.
@@ -209,7 +203,7 @@ class VirtualBlockManager {
   void AdvanceFill(BlockId block, std::deque<BlockId>& current_list);
 
   ftl::BlockManager& blocks_;
-  std::uint32_t pages_per_block_;
+  std::uint32_t pages_per_block_;  ///< blocks_.pages_per_block()
   std::uint32_t split_count_;
   std::uint32_t pages_per_slice_;
   std::uint32_t max_open_fast_vbs_;

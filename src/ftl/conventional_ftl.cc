@@ -6,10 +6,7 @@ namespace ctflash::ftl {
 
 ConventionalFtl::ConventionalFtl(FlashTarget& target, const FtlConfig& config)
     : FtlBase(target, config),
-      walloc_(blocks_, target.geometry().pages_per_block,
-              [this](BlockId b) { return target_.nand().LocationOf(b).die; },
-              [this](BlockId b) { return target_.DieFreeAt(b); },
-              target.geometry().TotalDies(),
+      walloc_(blocks_, target.die_view(),
               WriteAllocatorConfig{config.write_frontiers,
                                    config.stripe_policy},
               // Host reserve at the GC trigger: growth never brings GC

@@ -33,6 +33,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "ftl/die_view.h"
 #include "nand/device.h"
 #include "nand/error_model.h"
 #include "nand/fault_plan.h"
@@ -166,12 +167,9 @@ class FlashTarget {
   const sim::ResourcePool& chips() const { return chips_; }
   const sim::ResourcePool& channels() const { return channels_; }
   const sim::ResourcePool& dies() const { return dies_; }
-  /// First time the die serving `block` can start a new cell operation.
-  /// The host scheduler uses this for conflict-aware dispatch ordering.
-  /// Throws std::out_of_range for a block id >= TotalBlocks().
-  Us DieFreeAt(BlockId block) const {
-    return dies_.At(nand_.LocationOf(block).die).FreeAt();
-  }
+  /// The write path's view of this target's dies: each block's die and
+  /// each die's free-at time (see ftl/die_view.h).
+  DieView die_view() const { return DieView(nand_.locations(), dies_); }
   TimingMode mode() const { return mode_; }
 
   /// Arms the synthetic layer error model: every subsequent page read

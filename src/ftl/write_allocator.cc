@@ -8,16 +8,6 @@
 
 namespace ctflash::ftl {
 
-const char* StripePolicyName(StripePolicy policy) {
-  switch (policy) {
-    case StripePolicy::kRoundRobin:
-      return "round-robin";
-    case StripePolicy::kLeastBusy:
-      return "least-busy";
-  }
-  return "?";
-}
-
 void WriteAllocatorConfig::Validate() const {
   if (write_frontiers == 0) {
     throw std::invalid_argument(
@@ -25,12 +15,8 @@ void WriteAllocatorConfig::Validate() const {
   }
 }
 
-DieStriper::DieStriper(std::function<std::uint64_t(BlockId)> die_of,
-                       std::function<Us(BlockId)> die_free_at,
-                       StripePolicy policy)
-    : die_of_(std::move(die_of)),
-      die_free_at_(std::move(die_free_at)),
-      policy_(policy) {}
+DieStriper::DieStriper(DieView dies, StripePolicy policy)
+    : dies_(dies), policy_(policy) {}
 
 std::size_t DieStriper::Pick(const std::deque<BlockId>& candidates) {
   CTFLASH_CHECK(!candidates.empty());
@@ -43,9 +29,9 @@ std::size_t DieStriper::Pick(const std::deque<BlockId>& candidates) {
   std::uint64_t best_rot = 0;
   Us best_free = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const std::uint64_t die = die_of_(candidates[i]);
+    const std::uint64_t die = dies_.DieOf(candidates[i]);
     const std::uint64_t rot = die > last_die_ ? die : die + kWrap;
-    const Us free = die_free_at_(candidates[i]);
+    const Us free = dies_.FreeAt(candidates[i]);
     bool better;
     if (policy_ == StripePolicy::kRoundRobin) {
       better = rot < best_rot || (rot == best_rot && free < best_free);
@@ -58,40 +44,32 @@ std::size_t DieStriper::Pick(const std::deque<BlockId>& candidates) {
       best_free = free;
     }
   }
-  last_die_ = die_of_(candidates[best]);
+  last_die_ = dies_.DieOf(candidates[best]);
   return best;
 }
 
-WriteAllocator::WriteAllocator(BlockManager& blocks,
-                               std::uint32_t pages_per_block,
-                               std::function<std::uint64_t(BlockId)> die_of,
-                               std::function<Us(BlockId)> die_free_at,
-                               std::uint64_t total_dies,
+WriteAllocator::WriteAllocator(BlockManager& blocks, DieView dies,
                                const WriteAllocatorConfig& config,
                                std::uint32_t num_streams,
                                std::uint64_t claim_reserve_blocks)
     : blocks_(blocks),
-      pages_per_block_(pages_per_block),
-      die_of_(std::move(die_of)),
-      die_free_at_(std::move(die_free_at)),
+      pages_per_block_(blocks.pages_per_block()),
+      dies_(dies),
       config_(config),
       effective_frontiers_(static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(config.write_frontiers,
-                                  total_dies == 0 ? 1 : total_dies))),
+          std::min<std::uint64_t>(config.write_frontiers, dies.DieCount()))),
       fill_(blocks.total_blocks(), 0) {
   config_.Validate();
   if (num_streams == 0) {
     throw std::invalid_argument("WriteAllocator: num_streams must be >= 1");
   }
-  if (pages_per_block != blocks.pages_per_block()) {
-    throw std::invalid_argument(
-        "WriteAllocator: geometry disagrees with BlockManager");
+  if (dies_.DieCount() == 0) {
+    throw std::invalid_argument("WriteAllocator: the die view has no dies");
   }
   streams_.reserve(num_streams);
   for (std::uint32_t s = 0; s < num_streams; ++s) {
     streams_.push_back(Stream{{},
-                              DieStriper(die_of_, die_free_at_,
-                                         config_.stripe_policy),
+                              DieStriper(dies_, config_.stripe_policy),
                               {},
                               claim_reserve_blocks});
   }
@@ -120,12 +98,11 @@ void WriteAllocator::SweepFull(Stream& s) {
 }
 
 std::function<bool(BlockId)> UncoveredDieFilter(
-    const std::function<std::uint64_t(BlockId)>& die_of,
-    const std::deque<BlockId>& open) {
-  return [&die_of, &open](BlockId b) {
-    const std::uint64_t die = die_of(b);
+    const DieView& dies, const std::deque<BlockId>& open) {
+  return [&dies, &open](BlockId b) {
+    const std::uint64_t die = dies.DieOf(b);
     for (const BlockId frontier : open) {
-      if (die_of(frontier) == die) return false;
+      if (dies.DieOf(frontier) == die) return false;
     }
     return true;
   };
@@ -147,7 +124,7 @@ bool WriteAllocator::TryClaim(Stream& s, AllocPolicy policy, bool first) {
     // not already cover (the one-open-block-per-die-per-stream invariant);
     // when every free block sits on a covered die, simply don't grow.
     fresh = blocks_.AllocateBlock(policy,
-                                  UncoveredDieFilter(die_of_, s.frontiers));
+                                  UncoveredDieFilter(dies_, s.frontiers));
     if (!fresh) {
       s.growth_fail_generation = blocks_.FreeListGeneration();
       s.growth_fail_frontiers = s.frontiers.size();
@@ -182,7 +159,7 @@ std::optional<PageAllocation> WriteAllocator::AllocatePage(std::uint32_t stream,
   const std::uint32_t page = fill_[block]++;
   CTFLASH_CHECK(page < pages_per_block_);
   out.block = block;
-  out.die = die_of_(block);
+  out.die = dies_.DieOf(block);
   out.ppn = static_cast<Ppn>(block) * pages_per_block_ + page;
   s.dies_touched.insert(out.die);
   return out;
@@ -204,7 +181,7 @@ std::optional<Us> WriteAllocator::EarliestFrontierFreeAt(
   std::optional<Us> earliest;
   for (const BlockId b : streams_[stream].frontiers) {
     if (fill_[b] >= pages_per_block_) continue;  // exhausted, sweeps next call
-    const Us free = die_free_at_(b);
+    const Us free = dies_.FreeAt(b);
     if (!earliest || free < *earliest) earliest = free;
   }
   return earliest;
@@ -237,14 +214,14 @@ std::uint32_t WriteAllocator::FillOf(BlockId block) const {
 bool WriteAllocator::CheckInvariants() const {
   for (const Stream& s : streams_) {
     if (s.frontiers.size() > config_.write_frontiers) return false;
-    std::set<std::uint64_t> dies;
+    std::set<std::uint64_t> covered;
     for (const BlockId b : s.frontiers) {
       if (b >= fill_.size()) return false;
       if (blocks_.UseOf(b) != BlockUse::kOpen) return false;
       if (fill_[b] > pages_per_block_) return false;
       // At most one open block per (die, stream).  Exhausted-but-unswept
       // frontiers keep their die slot until the next allocation.
-      if (!dies.insert(die_of_(b)).second) return false;
+      if (!covered.insert(dies_.DieOf(b)).second) return false;
     }
   }
   return true;

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "ftl/block_manager.h"
+#include "ftl/die_view.h"
 #include "util/types.h"
 
 namespace ctflash::ftl {
@@ -58,11 +59,9 @@ namespace ctflash::ftl {
 ///  * kRoundRobin — rotate over the frontier dies in ascending die order,
 ///    breaking same-die ties (possible in PPB's shared fast lists) toward
 ///    the least-busy timeline;
-///  * kLeastBusy  — earliest DieFreeAt wins, rotation breaks ties.
+///  * kLeastBusy  — earliest DieView::FreeAt wins, rotation breaks ties.
 /// Both are deterministic.
 enum class StripePolicy : std::uint8_t { kRoundRobin = 0, kLeastBusy = 1 };
-
-const char* StripePolicyName(StripePolicy policy);
 
 struct WriteAllocatorConfig {
   /// Max open blocks (= dies written in parallel) per stream; 1 = the seed
@@ -79,8 +78,7 @@ struct WriteAllocatorConfig {
 /// stripe identically.
 class DieStriper {
  public:
-  DieStriper(std::function<std::uint64_t(BlockId)> die_of,
-             std::function<Us(BlockId)> die_free_at, StripePolicy policy);
+  DieStriper(DieView dies, StripePolicy policy);
 
   /// Index into `candidates` (non-empty) of the block to program next;
   /// advances the rotation anchor to the chosen die.
@@ -90,8 +88,7 @@ class DieStriper {
   void LoadState(util::StateReader& r) { last_die_ = r.GetU64(); }
 
  private:
-  std::function<std::uint64_t(BlockId)> die_of_;
-  std::function<Us(BlockId)> die_free_at_;
+  DieView dies_;
   StripePolicy policy_;
   std::uint64_t last_die_ = ~0ull;  ///< rotation anchor (~0 = start at die 0)
 };
@@ -101,8 +98,7 @@ class DieStriper {
 /// stream's current frontier blocks) does not cover.  The returned lambda
 /// borrows both arguments — use it immediately.
 std::function<bool(BlockId)> UncoveredDieFilter(
-    const std::function<std::uint64_t(BlockId)>& die_of,
-    const std::deque<BlockId>& open);
+    const DieView& dies, const std::deque<BlockId>& open);
 
 struct PageAllocation {
   Ppn ppn = kInvalidPpn;
@@ -114,20 +110,13 @@ struct PageAllocation {
 
 class WriteAllocator {
  public:
-  /// `die_of` maps a block to its global die index (the device's decoded
-  /// NandDevice::LocationOf(block).die) and `die_free_at` to the die
-  /// timeline's availability (FlashTarget::DieFreeAt) for the striping
-  /// policies.  `total_dies`
-  /// (NandGeometry::TotalDies) caps a stream's frontier count — beyond it
-  /// every die is covered and growth attempts would only rescan the free
-  /// list.  `num_streams` independent write contexts are created;
-  /// `claim_reserve_blocks` guards frontier growth beyond the first block
-  /// (see file header).
-  WriteAllocator(BlockManager& blocks, std::uint32_t pages_per_block,
-                 std::function<std::uint64_t(BlockId)> die_of,
-                 std::function<Us(BlockId)> die_free_at,
-                 std::uint64_t total_dies, const WriteAllocatorConfig& config,
-                 std::uint32_t num_streams,
+  /// `dies` (FlashTarget::die_view()) gives the striping policies each
+  /// block's die and die free-at time; a stream covering DieCount() dies
+  /// stops growing.  `num_streams` independent write contexts are created;
+  /// `claim_reserve_blocks` guards growth beyond the first block (see file
+  /// header).
+  WriteAllocator(BlockManager& blocks, DieView dies,
+                 const WriteAllocatorConfig& config, std::uint32_t num_streams,
                  std::uint64_t claim_reserve_blocks);
 
   /// Overrides the growth reserve of one stream (see file header; the
@@ -142,11 +131,6 @@ class WriteAllocator {
                                              AllocPolicy policy);
 
   // --- queries -------------------------------------------------------------
-  std::uint32_t num_streams() const {
-    return static_cast<std::uint32_t>(streams_.size());
-  }
-  const WriteAllocatorConfig& config() const { return config_; }
-
   /// Open frontier blocks of a stream (exhausted ones are swept lazily at
   /// the next AllocatePage, mirroring the seed's active-block lifecycle).
   const std::deque<BlockId>& Frontiers(std::uint32_t stream) const;
@@ -200,11 +184,10 @@ class WriteAllocator {
   bool TryClaim(Stream& s, AllocPolicy policy, bool first);
 
   BlockManager& blocks_;
-  std::uint32_t pages_per_block_;
-  std::function<std::uint64_t(BlockId)> die_of_;
-  std::function<Us(BlockId)> die_free_at_;
+  std::uint32_t pages_per_block_;  ///< blocks_.pages_per_block()
+  DieView dies_;
   WriteAllocatorConfig config_;
-  std::uint32_t effective_frontiers_;  ///< min(write_frontiers, total_dies)
+  std::uint32_t effective_frontiers_;  ///< min(write_frontiers, DieCount())
   std::vector<std::uint32_t> fill_;  ///< next page index per block
   std::vector<Stream> streams_;
 };

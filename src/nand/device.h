@@ -95,6 +95,8 @@ class NandDevice {
   const BlockLocation& LocationOf(BlockId block) const {
     return locations_.at(block);
   }
+  /// The whole table, indexed by block id (ftl::DieView borrows it).
+  const std::vector<BlockLocation>& locations() const { return locations_; }
 
   // --- state queries ------------------------------------------------------
   /// Next page index the block's program pointer allows (== pages_per_block

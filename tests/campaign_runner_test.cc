@@ -60,6 +60,9 @@ TEST(CampaignRunner, SharedPrefillMatchesStraightThrough) {
   EXPECT_EQ(with.prefill_restores, 4u);
   EXPECT_EQ(without.prefill_groups, 0u);
   EXPECT_EQ(without.prefill_restores, 0u);
+  // One worker runs every arm on the calling thread, one at a time.
+  EXPECT_EQ(with.arm_threads, 1u);
+  EXPECT_EQ(with.peak_arms_in_flight, 1u);
 }
 
 TEST(CampaignRunner, FailedArmIsCapturedNotFatal) {
@@ -148,6 +151,15 @@ TEST(CampaignRunner, ReportAndCsvShape) {
   ASSERT_NE(report.Get("timing"), nullptr);
   EXPECT_NE(report.Get("timing")->Get("total_wall_ms"), nullptr);
   EXPECT_EQ(report.Get("timing")->Get("workers")->AsUint(), 2u);
+  // How many of the two workers got an arm depends on thread scheduling.
+  const std::uint64_t threads =
+      report.Get("timing")->Get("arm_threads")->AsUint();
+  const std::uint64_t peak =
+      report.Get("timing")->Get("peak_arms_in_flight")->AsUint();
+  EXPECT_GE(threads, 1u);
+  EXPECT_LE(threads, 2u);
+  EXPECT_GE(peak, 1u);
+  EXPECT_LE(peak, threads);
   ASSERT_NE(report.Get("arms"), nullptr);
   EXPECT_EQ(report.Get("arms")->AsArray().size(), 4u);
 

@@ -14,7 +14,7 @@ constexpr std::uint32_t kPages = 16;  // 2 slices of 8 for split = 2
 struct Fixture {
   explicit Fixture(std::uint64_t blocks = 8, std::uint32_t split = 2,
                    std::uint32_t max_fast = 4)
-      : bm(blocks, kPages), vbm(bm, kPages, split, max_fast) {}
+      : bm(blocks, kPages), vbm(bm, split, max_fast) {}
   ftl::BlockManager bm;
   VirtualBlockManager vbm;
 };
@@ -34,10 +34,13 @@ TEST(HotnessHelpers, AreaAndSpeedMapping) {
 
 TEST(VirtualBlockManager, ConstructionValidation) {
   ftl::BlockManager bm(4, kPages);
-  EXPECT_THROW(VirtualBlockManager(bm, kPages, 3), std::invalid_argument);
-  EXPECT_THROW(VirtualBlockManager(bm, kPages, 0), std::invalid_argument);
-  EXPECT_THROW(VirtualBlockManager(bm, kPages, 6), std::invalid_argument);
-  EXPECT_THROW(VirtualBlockManager(bm, 8, 2), std::invalid_argument);  // geo mismatch
+  EXPECT_THROW(VirtualBlockManager(bm, 3), std::invalid_argument);
+  EXPECT_THROW(VirtualBlockManager(bm, 0), std::invalid_argument);
+  EXPECT_THROW(VirtualBlockManager(bm, 6), std::invalid_argument);
+  // Striping picks dies, so it needs a die view.
+  VbStripingConfig striped;
+  striped.alloc.write_frontiers = 2;
+  EXPECT_THROW(VirtualBlockManager(bm, 2, 4, striped), std::invalid_argument);
 }
 
 TEST(VirtualBlockManager, SliceClassMath) {

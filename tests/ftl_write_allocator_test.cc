@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "nand/device.h"
+#include "sim/resource.h"
 #include "util/random.h"
 
 namespace ctflash::ftl {
@@ -18,38 +20,48 @@ namespace {
 
 constexpr std::uint32_t kPagesPerBlock = 8;
 
+/// Block b of `total_blocks` on die b % dies.
+std::vector<nand::BlockLocation> StripedLocations(std::uint64_t total_blocks,
+                                                  std::uint64_t dies) {
+  std::vector<nand::BlockLocation> locations(total_blocks);
+  for (BlockId b = 0; b < total_blocks; ++b) {
+    locations[b].die = static_cast<std::uint32_t>(b % dies);
+  }
+  return locations;
+}
+
 /// Test fixture simulating a die layout without a FlashTarget: block b sits
-/// on die b % dies; per-die busy times are poked directly.
+/// on die b % dies; per-die busy times are booked on the pool directly.
 struct Rig {
   explicit Rig(std::uint64_t total_blocks, std::uint64_t dies,
                WriteAllocatorConfig config = {}, std::uint32_t streams = 2,
                std::uint64_t reserve = 0)
       : blocks(total_blocks, kPagesPerBlock),
-        die_busy(dies, 0),
-        alloc(blocks, kPagesPerBlock,
-              [dies](BlockId b) { return b % dies; },
-              [this, dies](BlockId b) { return die_busy[b % dies]; }, dies,
-              config, streams, reserve) {}
+        locations(StripedLocations(total_blocks, dies)),
+        die_pool(dies),
+        alloc(blocks, DieView(locations, die_pool), config, streams,
+              reserve) {}
+
+  /// Keeps `die` busy until `until` (from an idle die).
+  void Busy(std::uint64_t die, Us until) { die_pool.At(die).Reserve(0, until); }
 
   BlockManager blocks;
-  std::vector<Us> die_busy;
+  std::vector<nand::BlockLocation> locations;
+  sim::ResourcePool die_pool;
   WriteAllocator alloc;
 };
 
 TEST(WriteAllocator, ConstructionValidation) {
   BlockManager bm(4, kPagesPerBlock);
-  auto die_of = [](BlockId b) { return b; };
-  auto free_at = [](BlockId) { return Us{0}; };
-  EXPECT_THROW(WriteAllocator(bm, kPagesPerBlock, die_of, free_at, 4,
-                              WriteAllocatorConfig{0, StripePolicy::kRoundRobin},
-                              1, 0),
-               std::invalid_argument);
+  const std::vector<nand::BlockLocation> locations = StripedLocations(4, 4);
+  const sim::ResourcePool die_pool(4);
+  const DieView dies(locations, die_pool);
   EXPECT_THROW(
-      WriteAllocator(bm, kPagesPerBlock, die_of, free_at, 4, {}, 0, 0),
+      WriteAllocator(bm, dies,
+                     WriteAllocatorConfig{0, StripePolicy::kRoundRobin}, 1, 0),
       std::invalid_argument);
-  EXPECT_THROW(
-      WriteAllocator(bm, kPagesPerBlock + 1, die_of, free_at, 4, {}, 1, 0),
-      std::invalid_argument);
+  EXPECT_THROW(WriteAllocator(bm, dies, {}, 0, 0), std::invalid_argument);
+  EXPECT_THROW(WriteAllocator(bm, DieView(), {}, 1, 0), std::invalid_argument);
 }
 
 TEST(WriteAllocator, FrontierCountCappedByDieCount) {
@@ -121,7 +133,7 @@ TEST(WriteAllocator, LeastBusyPolicyChasesIdleDies) {
   // Open two frontiers (dies 0 and 1), then make die 0 busy far out.
   ASSERT_TRUE(rig.alloc.AllocatePage(0, AllocPolicy::kById).has_value());
   ASSERT_TRUE(rig.alloc.AllocatePage(0, AllocPolicy::kById).has_value());
-  rig.die_busy[0] = 10'000;
+  rig.Busy(0, 10'000);
   for (int i = 0; i < 3; ++i) {
     const auto a = rig.alloc.AllocatePage(0, AllocPolicy::kById);
     ASSERT_TRUE(a.has_value());
@@ -131,7 +143,7 @@ TEST(WriteAllocator, LeastBusyPolicyChasesIdleDies) {
   Rig rr(16, 4, WriteAllocatorConfig{2, StripePolicy::kRoundRobin});
   ASSERT_TRUE(rr.alloc.AllocatePage(0, AllocPolicy::kById).has_value());
   ASSERT_TRUE(rr.alloc.AllocatePage(0, AllocPolicy::kById).has_value());
-  rr.die_busy[0] = 10'000;
+  rr.Busy(0, 10'000);
   const auto a1 = rr.alloc.AllocatePage(0, AllocPolicy::kById);
   const auto a2 = rr.alloc.AllocatePage(0, AllocPolicy::kById);
   ASSERT_TRUE(a1 && a2);
@@ -185,8 +197,8 @@ TEST(WriteAllocator, EarliestFrontierFreeAtTracksDieTimelines) {
   EXPECT_FALSE(rig.alloc.EarliestFrontierFreeAt(0).has_value());
   ASSERT_TRUE(rig.alloc.AllocatePage(0, AllocPolicy::kById).has_value());
   ASSERT_TRUE(rig.alloc.AllocatePage(0, AllocPolicy::kById).has_value());
-  rig.die_busy[0] = 500;
-  rig.die_busy[1] = 200;
+  rig.Busy(0, 500);
+  rig.Busy(1, 200);
   const auto free_at = rig.alloc.EarliestFrontierFreeAt(0);
   ASSERT_TRUE(free_at.has_value());
   EXPECT_EQ(*free_at, 200);

@@ -5,7 +5,9 @@
 // scheduler choose between reads.  These scenarios hold 512 requests
 // outstanding over 8 submission queues, so hundreds of transactions wait
 // at every pick, and cover each arbitration path the scheduler has:
-//   * conventional and PPB, scheduled GC, 8 write frontiers;
+//   * conventional and PPB, scheduled GC, 8 write frontiers, each under
+//     round-robin and least-busy die striping (least-busy reads every
+//     frontier die's timeline at every page it places);
 //   * inline GC with write aging (aged writes dispatch, and run GC,
 //     while reads wait, so waiting reads see their mapping move);
 //   * two tenants at 2:1 weights (deficit round robin per pick);
@@ -13,8 +15,10 @@
 //     the same LPN that are still waiting turn into unmapped reads;
 //   * FIFO order.
 // The golden fingerprints were captured from the scheduler's linear-scan
-// implementation.  Any change to the scheduler's data structures must
-// reproduce them exactly.
+// implementation (the least-busy ones from the write allocator's
+// std::function die hooks).  Any change to the scheduler's data
+// structures or to the write path's die lookups must reproduce them
+// exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,6 +53,7 @@ struct Scenario {
   ssd::FtlKind kind = ssd::FtlKind::kConventional;
   ftl::GcRouting routing = ftl::GcRouting::kScheduled;
   host::SchedPolicy policy = host::SchedPolicy::kOutOfOrder;
+  ftl::StripePolicy stripe_policy = ftl::StripePolicy::kRoundRobin;
   std::uint32_t write_aging_limit = 0;
   bool two_tenants = false;
   bool lose_die = false;
@@ -111,6 +116,7 @@ Fingerprint RunScenario(const Scenario& s, Coverage& cov) {
   cfg.timing_mode = ftl::TimingMode::kQueued;
   cfg.ftl.gc_routing = s.routing;
   cfg.ftl.write_frontiers = 8;
+  cfg.ftl.stripe_policy = s.stripe_policy;
   // Spares for the GC thresholds plus one frontier set per write stream.
   const double min_spare = static_cast<double>(cfg.ftl.gc_threshold_high) +
                            2.0 * cfg.ftl.write_frontiers + 8.0;
@@ -267,6 +273,23 @@ TEST(HostDepthParity, PpbScheduledGc) {
   s.kind = ssd::FtlKind::kPpb;
   const Coverage cov = ExpectGolden(
       s, {0xb69542a97661e769ull, 0xd5dc9be3d2e21cf5ull, 0x854c80805d39fa5cull});
+  EXPECT_GT(cov.write_hold_picks, 0u);
+}
+
+TEST(HostDepthParity, ConventionalLeastBusyStriping) {
+  Scenario s = Named("conventional/scheduled/least-busy");
+  s.stripe_policy = ftl::StripePolicy::kLeastBusy;
+  const Coverage cov = ExpectGolden(
+      s, {0x3401565707f56026ull, 0xa000cc318edeba83ull, 0x376507b76919fb0eull});
+  EXPECT_GT(cov.write_hold_picks, 0u);
+}
+
+TEST(HostDepthParity, PpbLeastBusyStriping) {
+  Scenario s = Named("ppb/scheduled/least-busy");
+  s.kind = ssd::FtlKind::kPpb;
+  s.stripe_policy = ftl::StripePolicy::kLeastBusy;
+  const Coverage cov = ExpectGolden(
+      s, {0xa7089ce0c16de047ull, 0xd689bd640fbb1a18ull, 0x68cb2d16cb248bedull});
   EXPECT_GT(cov.write_hold_picks, 0u);
 }
 

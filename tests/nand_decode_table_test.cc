@@ -1,6 +1,7 @@
 // Per-device decode tables: every block's NandDevice::LocationOf entry, every
 // page's LatencyModel latency and every page's LayerErrorModel RBER hold
-// exactly what NandGeometry's arithmetic and the closed forms compute.
+// exactly what NandGeometry's arithmetic and the closed forms compute, and
+// FlashTarget's die view answers from the same location table and die pool.
 // Checked on the paper's Table 1 shape, the 4 GiB scaled shape the benches
 // use, and a shape with no power-of-two dimension.
 #include <gtest/gtest.h>
@@ -63,8 +64,27 @@ TEST(DecodeTables, BlockLocationsMatchGeometry) {
       ASSERT_EQ(loc.channel, g.ChannelOfBlock(b)) << b;
     }
     EXPECT_THROW((void)dev.LocationOf(g.TotalBlocks()), std::out_of_range);
-    const ftl::FlashTarget target(g, NandTiming{});
-    EXPECT_THROW((void)target.DieFreeAt(g.TotalBlocks()), std::out_of_range);
+  }
+}
+
+TEST(DecodeTables, DieViewReadsLocationsAndDiePool) {
+  for (const NandGeometry& g : Shapes()) {
+    SCOPED_TRACE(g.ToString());
+    ftl::FlashTarget target(g, NandTiming{});
+    // Erase every 7th block so the die free-at times are not all zero.
+    for (BlockId b = 0; b < g.TotalBlocks(); b += 7) target.EraseBlock(b, 0);
+    const ftl::DieView view = target.die_view();
+    ASSERT_EQ(view.DieCount(), g.TotalDies());
+    bool busy_die = false;
+    for (BlockId b = 0; b < g.TotalBlocks(); ++b) {
+      const std::uint32_t die = target.nand().LocationOf(b).die;
+      ASSERT_EQ(view.DieOf(b), die) << b;
+      ASSERT_EQ(view.FreeAt(b), target.dies().At(die).FreeAt()) << b;
+      busy_die = busy_die || view.FreeAt(b) > 0;
+    }
+    EXPECT_TRUE(busy_die);
+    EXPECT_THROW((void)view.DieOf(g.TotalBlocks()), std::out_of_range);
+    EXPECT_THROW((void)view.FreeAt(g.TotalBlocks()), std::out_of_range);
   }
 }
 
