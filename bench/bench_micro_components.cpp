@@ -14,6 +14,7 @@
 #include "host/host_interface.h"
 #include "nand/error_model.h"
 #include "nand/latency_model.h"
+#include "sim/event_queue.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
 #include "trace/synthetic.h"
@@ -39,6 +40,37 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+
+// The table a 1 M-user ClusterSim builds at set-up: the CDF pass, its
+// normalisation and the guide table.
+void BM_ZipfConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    const util::ZipfSampler zipf(1'000'000, 0.9);
+    benchmark::DoNotOptimize(zipf.Pmf(0));
+  }
+}
+BENCHMARK(BM_ZipfConstruct)->Unit(benchmark::kMillisecond);
+
+// An epoch of open-loop arrivals as a ClusterSim device sees it: N arrivals
+// scheduled up front in time order from outside any callback, each firing
+// one in-callback completion a service time later.
+void BM_EventQueueSortedBatch(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  sim::EventQueue queue;
+  std::uint64_t completions = 0;
+  for (auto _ : state) {
+    const Us start = queue.Now();
+    for (std::int64_t i = 0; i < n; ++i) {
+      queue.ScheduleAt(start + 200 * i, [&](Us now) {
+        queue.ScheduleAt(now + 650, [&](Us) { ++completions; });
+      });
+    }
+    queue.RunToCompletion();
+  }
+  benchmark::DoNotOptimize(completions);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EventQueueSortedBatch)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_LatencyModelRead(benchmark::State& state) {
   nand::NandGeometry g;

@@ -112,7 +112,7 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
   }
 
   if (const Json* u = root.Get("users"); u != nullptr) {
-    spec.user_count = u->GetUintOr("count", 1'000'000);
+    spec.user_count = u->GetUint32Or("count", 1'000'000);
     spec.zipf_theta = u->GetDoubleOr("zipf_theta", 0.9);
   }
   if (const Json* w = root.Get("workload"); w != nullptr) {

@@ -92,7 +92,7 @@ struct ClusterSpec {
   Json device_json;  ///< the raw "device" object, echoed in reports
 
   // Users and traffic.
-  std::uint64_t user_count = 1'000'000;
+  std::uint64_t user_count = 1'000'000;  ///< at most 2^32 - 1
   double zipf_theta = 0.9;         ///< user-popularity skew; 0 = uniform
   double rate_iops = 20'000.0;     ///< cluster-wide open-loop arrival rate
   double read_fraction = 0.9;

@@ -130,10 +130,39 @@ std::uint64_t HostInterface::Submit(trace::OpType op,
 void HostInterface::SubmitAt(Us at, trace::OpType op,
                              std::uint64_t offset_bytes,
                              std::uint64_t size_bytes, CompletionCallback cb) {
-  queue_.ScheduleAt(at, [this, op, offset_bytes, size_bytes,
-                         cb = std::move(cb)](Us) mutable {
-    Submit(op, offset_bytes, size_bytes, std::move(cb));
-  });
+  ScheduleSubmit(at, TimedSubmit{false, 0, op, offset_bytes, size_bytes,
+                                 std::move(cb)});
+}
+
+void HostInterface::ScheduleSubmit(Us at, TimedSubmit submit) {
+  // Schedule before taking the record: a rejected time leaves the pool as
+  // it was.
+  const auto index = static_cast<std::uint32_t>(
+      free_timed_.empty() ? timed_.size() : free_timed_.back());
+  queue_.ScheduleAt(at, [this, index](Us) { FireTimedSubmit(index); });
+  if (free_timed_.empty()) {
+    timed_.push_back(std::move(submit));
+  } else {
+    free_timed_.pop_back();
+    timed_[index] = std::move(submit);
+  }
+}
+
+void HostInterface::FireTimedSubmit(std::uint32_t index) {
+  TimedSubmit submit = std::move(timed_[index]);
+  free_timed_.push_back(index);
+  if (free_timed_.size() == timed_.size()) {
+    // Drained: an epoch's batch can be large, so keep nothing in between.
+    timed_ = std::vector<TimedSubmit>();
+    free_timed_ = std::vector<std::uint32_t>();
+  }
+  if (submit.as_tenant) {
+    SubmitAs(submit.tenant, submit.op, submit.offset_bytes, submit.size_bytes,
+             std::move(submit.cb));
+  } else {
+    Submit(submit.op, submit.offset_bytes, submit.size_bytes,
+           std::move(submit.cb));
+  }
 }
 
 std::uint64_t HostInterface::SubmitAs(qos::TenantId tenant, trace::OpType op,
@@ -186,10 +215,8 @@ void HostInterface::SubmitAtAs(Us at, qos::TenantId tenant, trace::OpType op,
                                std::uint64_t offset_bytes,
                                std::uint64_t size_bytes,
                                CompletionCallback cb) {
-  queue_.ScheduleAt(at, [this, tenant, op, offset_bytes, size_bytes,
-                         cb = std::move(cb)](Us) mutable {
-    SubmitAs(tenant, op, offset_bytes, size_bytes, std::move(cb));
-  });
+  ScheduleSubmit(at, TimedSubmit{true, tenant, op, offset_bytes, size_bytes,
+                                 std::move(cb)});
 }
 
 void HostInterface::PumpPaceQueue(qos::TenantId tenant) {

@@ -98,7 +98,8 @@ class HostInterface {
                        CompletionCallback cb = nullptr);
 
   /// Schedules a submission at absolute simulated time `at` (open-loop
-  /// arrivals from trace timestamps).
+  /// arrivals from trace timestamps).  The arguments wait in a pooled
+  /// record, not in a heap-allocated closure.
   void SubmitAt(Us at, trace::OpType op, std::uint64_t offset_bytes,
                 std::uint64_t size_bytes, CompletionCallback cb = nullptr);
 
@@ -192,6 +193,20 @@ class HostInterface {
   /// request slot, completion callback.
   void FinalizeRequest(std::uint32_t slot);
 
+  /// A SubmitAt/SubmitAtAs call waiting for its time.
+  struct TimedSubmit {
+    bool as_tenant = false;  ///< SubmitAs(tenant, ...) rather than Submit
+    qos::TenantId tenant = 0;
+    trace::OpType op = trace::OpType::kRead;
+    std::uint64_t offset_bytes = 0;
+    std::uint64_t size_bytes = 0;
+    CompletionCallback cb;
+  };
+  /// Parks `submit` in the timed pool and schedules it at `at`; the event
+  /// captures only the pool index, so it fits std::function's small buffer.
+  void ScheduleSubmit(Us at, TimedSubmit submit);
+  void FireTimedSubmit(std::uint32_t index);
+
   ssd::Ssd& ssd_;
   HostConfig config_;
   sim::EventQueue queue_;
@@ -214,6 +229,10 @@ class HostInterface {
   std::uint32_t outstanding_ = 0;
   /// Borrowed lifecycle tracer; null (the default) disables tracing.
   obs::Tracer* tracer_ = nullptr;
+  /// Timed-submit pool and its free list.  Both give their storage back
+  /// when the last pending timed submit fires.
+  std::vector<TimedSubmit> timed_;
+  std::vector<std::uint32_t> free_timed_;
 };
 
 }  // namespace ctflash::host

@@ -1,6 +1,9 @@
 #include "util/random.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace ctflash::util {
@@ -55,6 +58,9 @@ bool Xoshiro256StarStar::Bernoulli(double p) {
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n must be > 0");
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("ZipfSampler: n must be at most 2^32 - 1");
+  }
   if (theta < 0.0) throw std::invalid_argument("ZipfSampler: theta must be >= 0");
   cdf_.resize(n);
   double sum = 0.0;
@@ -64,21 +70,59 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   }
   for (auto& v : cdf_) v /= sum;
   cdf_.back() = 1.0;  // guard against fp round-off at the tail
+
+  // 2^bits buckets, at most 2^16 and no more than there are ranks.  The
+  // bucket width is a power of two, so thresholds and a draw's bucket
+  // index are exact.
+  const int bits = std::min(16, static_cast<int>(std::bit_width(n)) - 1);
+  const std::uint64_t buckets = std::uint64_t{1} << bits;
+  buckets_ = static_cast<double>(buckets);
+  const double width = 1.0 / buckets_;
+  guide_.resize(buckets + 1);
+  // Gallop from the previous bucket's rank, first stepping by the previous
+  // bucket's width in ranks (adjacent buckets span similar widths): skewed
+  // heads repeat a rank, long tails skip many, and neither pays a scan of
+  // the whole table.
+  std::uint64_t rank = 0;
+  std::uint64_t gap = 1;
+  for (std::uint64_t j = 0; j <= buckets; ++j) {
+    const double threshold = static_cast<double>(j) * width;
+    if (cdf_[rank] < threshold) {
+      std::uint64_t lo = rank + 1;  // every rank below lo is < threshold
+      std::uint64_t hi = std::min(n - 1, rank + gap);
+      for (std::uint64_t step = gap; hi < n - 1 && cdf_[hi] < threshold;
+           step *= 2) {
+        lo = hi + 1;
+        hi = std::min(n - 1, hi + step);
+      }
+      // cdf_[hi] >= threshold: cdf_.back() is 1.
+      const auto next = static_cast<std::uint64_t>(
+          std::lower_bound(cdf_.begin() + static_cast<std::ptrdiff_t>(lo),
+                           cdf_.begin() + static_cast<std::ptrdiff_t>(hi),
+                           threshold) -
+          cdf_.begin());
+      gap = next - rank;
+      rank = next;
+    }
+    guide_[j] = static_cast<std::uint32_t>(rank);
+  }
 }
 
 std::uint64_t ZipfSampler::Sample(Xoshiro256StarStar& rng) const {
-  const double u = rng.UniformDouble();
-  // Binary search for the first cdf_[i] >= u.
-  std::uint64_t lo = 0, hi = n_ - 1;
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  return RankAt(rng.UniformDouble());
+}
+
+std::uint64_t ZipfSampler::RankAt(double u) const {
+  if (!(u >= 0.0 && u < 1.0)) {
+    throw std::out_of_range("ZipfSampler::RankAt: u must be in [0, 1)");
   }
-  return lo;
+  // j / buckets <= u < (j + 1) / buckets, so the first rank with cdf >= u
+  // lies in [guide_[j], guide_[j + 1]].
+  const auto j = static_cast<std::size_t>(u * buckets_);
+  const auto first = cdf_.begin() + guide_[j];
+  const auto last = cdf_.begin() + guide_[j + 1];
+  return static_cast<std::uint64_t>(std::lower_bound(first, last, u) -
+                                    cdf_.begin());
 }
 
 double ZipfSampler::Pmf(std::uint64_t rank) const {

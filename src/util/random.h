@@ -72,7 +72,11 @@ class Xoshiro256StarStar {
 
 /// Zipf(theta) sampler over ranks [0, n).  theta = 0 is uniform; larger theta
 /// skews mass toward low ranks.  Uses the classic inverse-CDF table for exact
-/// sampling; construction is O(n), sampling is O(log n).
+/// sampling, indexed by a guide table (Chen & Asau's indexed search): guide
+/// bucket j holds the first rank whose cdf reaches j / buckets, so a draw
+/// binary-searches only the ranks between two adjacent guide entries.
+/// Construction is O(n); a draw bisects one bucket's ranks instead of all n.
+/// The guide stores 32-bit ranks, so n must fit in 32 bits.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t n, double theta);
@@ -83,13 +87,23 @@ class ZipfSampler {
   /// Draws a rank in [0, n); rank 0 is the most popular item.
   std::uint64_t Sample(Xoshiro256StarStar& rng) const;
 
+  /// The first rank whose cumulative probability is >= u, for u in [0, 1):
+  /// the rank Sample returns when the uniform draw is u.
+  std::uint64_t RankAt(double u) const;
+
   /// Probability mass of a given rank.
   double Pmf(std::uint64_t rank) const;
+
+  /// cdf()[i] = P(rank <= i); the last entry is exactly 1.
+  const std::vector<double>& cdf() const { return cdf_; }
 
  private:
   std::uint64_t n_;
   double theta_;
   std::vector<double> cdf_;  // cdf_[i] = P(rank <= i)
+  /// guide_[j] = first rank with cdf_ >= j / buckets_, j in [0, buckets_].
+  std::vector<std::uint32_t> guide_;
+  double buckets_ = 1.0;  ///< a power of two, at most 2^16 and n
 };
 
 }  // namespace ctflash::util

@@ -220,6 +220,10 @@ TEST(ClusterSpec, RejectsValuesThatDoNotFitTheir32BitField) {
   }
   EXPECT_THROW(ClusterSpec::Parse(R"({"fleet": {"devices": 4294967298}})"),
                std::invalid_argument);
+  // The user sampler indexes 32-bit ranks; 2^32 users would otherwise
+  // reach an 8-byte-per-user table.
+  EXPECT_THROW(ClusterSpec::Parse(R"({"users": {"count": 4294967296}})"),
+               std::invalid_argument);
 }
 
 TEST(ClusterSpec, ConfigSummaryEchoesTheScenario) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ctflash::util {
@@ -105,6 +108,61 @@ TEST(Xoshiro, BernoulliApproximatesProbability) {
 TEST(Zipf, RejectsBadArguments) {
   EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
   EXPECT_THROW(ZipfSampler(10, -0.1), std::invalid_argument);
+  // The guide table holds 32-bit ranks; the check precedes the 32 GiB CDF.
+  EXPECT_THROW(ZipfSampler(std::uint64_t{1} << 32, 0.9),
+               std::invalid_argument);
+}
+
+TEST(Zipf, RankAtRejectsDrawsOutsideTheUnitInterval) {
+  const ZipfSampler zipf(10, 1.0);
+  EXPECT_THROW(zipf.RankAt(1.0), std::out_of_range);
+  EXPECT_THROW(zipf.RankAt(-0.25), std::out_of_range);
+  EXPECT_THROW(zipf.RankAt(std::nan("")), std::out_of_range);
+}
+
+/// The guide-table draw against a binary search of the whole CDF: the same
+/// RNG stream must give the same ranks, and so must every bucket boundary
+/// u = j / 2^16 and the double just below it.
+TEST(Zipf, GuideDrawsMatchAFullBinarySearch) {
+  constexpr std::uint64_t kDraws = 2'000'000;
+  const std::vector<std::uint64_t> sizes = {1,     2,     3,     5,
+                                            17,    1000,  65535, 65536,
+                                            65537, 1'000'000};
+  const std::vector<double> thetas = {0.0, 0.5, 0.9, 0.99, 1.2};
+  const std::uint64_t per_case = kDraws / (sizes.size() * thetas.size());
+  for (const std::uint64_t n : sizes) {
+    for (const double theta : thetas) {
+      SCOPED_TRACE("n " + std::to_string(n) + " theta " +
+                   std::to_string(theta));
+      const ZipfSampler zipf(n, theta);
+      const std::vector<double>& cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      ASSERT_EQ(cdf.back(), 1.0);
+      const auto reference = [&](double u) {
+        return static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      };
+      Xoshiro256StarStar draws(n * 7919 +
+                               static_cast<std::uint64_t>(theta * 100));
+      Xoshiro256StarStar uniforms = draws;
+      std::uint64_t mismatches = 0;
+      for (std::uint64_t i = 0; i < per_case; ++i) {
+        mismatches += zipf.Sample(draws) != reference(uniforms.UniformDouble());
+      }
+      EXPECT_EQ(mismatches, 0u);
+      for (std::uint64_t j = 0; j < 65536; ++j) {
+        const double u = static_cast<double>(j) / 65536.0;
+        mismatches += zipf.RankAt(u) != reference(u);
+        if (j > 0) {
+          const double below = std::nextafter(u, 0.0);
+          mismatches += zipf.RankAt(below) != reference(below);
+        }
+      }
+      const double last = std::nextafter(1.0, 0.0);
+      mismatches += zipf.RankAt(last) != reference(last);
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
 }
 
 TEST(Zipf, PmfSumsToOne) {
