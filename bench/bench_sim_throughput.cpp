@@ -104,18 +104,29 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 /// Chained schedule/fire: each event schedules its successor, so the heap
 /// stays shallow and the measurement isolates per-event engine overhead
-/// (push + pop + std::function dispatch), not heap depth.
-double EventQueueRate(std::uint64_t events) {
+/// (push + pop + std::function dispatch), not heap depth.  The scheduled
+/// closure holds only a pointer to the chain, which std::function keeps in
+/// its small buffer: the row times the queue, not malloc.
+struct EventChain {
   ctflash::sim::EventQueue queue;
+  std::uint64_t events = 0;
   std::uint64_t fired = 0;
-  std::function<void(Us)> chain = [&](Us) {
-    if (++fired < events) queue.ScheduleAfter(1, chain);
-  };
+
+  void ScheduleNext() {
+    queue.ScheduleAfter(1, [this](Us) {
+      if (++fired < events) ScheduleNext();
+    });
+  }
+};
+
+double EventQueueRate(std::uint64_t events) {
+  EventChain chain;
+  chain.events = events;
   const auto start = std::chrono::steady_clock::now();
-  queue.ScheduleAfter(1, chain);
-  queue.RunToCompletion();
+  chain.ScheduleNext();
+  chain.queue.RunToCompletion();
   const double elapsed = SecondsSince(start);
-  if (fired != events) {
+  if (chain.fired != events) {
     throw std::logic_error("event chain terminated early");
   }
   return static_cast<double>(events) / elapsed;

@@ -1,6 +1,7 @@
 #include "core/ppb_ftl.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace ctflash::core {
 
@@ -60,10 +61,6 @@ PpbFtl::PpbFtl(ftl::FlashTarget& target, const ftl::FtlConfig& ftl_config,
       classifier_(std::move(classifier)),
       ppb_config_(ppb_config) {
   ppb_config_.Validate();
-  if (config_.wear.Enabled()) {
-    blocks_.SetWearProvider(
-        [this](BlockId b) { return target_.nand().PeCycles(b); });
-  }
   if (!classifier_) {
     const std::uint64_t threshold =
         ppb_config_.hot_size_threshold_bytes != 0
@@ -135,53 +132,64 @@ HotnessLevel PpbFtl::RelocationLevel(Lpn lpn, Area src_area) {
   return freq_.IsCold(lpn) ? HotnessLevel::kCold : HotnessLevel::kIcyCold;
 }
 
-PpbFtl::ProgramOutcome PpbFtl::ProgramWithRetry(Ppn ppn, Area area,
-                                                HotnessLevel level,
-                                                bool gc_stream, Us earliest) {
-  ftl::MediaOpResult pr = target_.ProgramPageChecked(ppn, earliest);
-  for (std::uint32_t attempt = 1; pr.failed; ++attempt) {
-    OnProgramFailure(ppn, pr.die_lost);
-    if (attempt >= target_.MaxProgramAttempts()) {
-      throw ftl::MediaError("PpbFtl: page program failed " +
-                            std::to_string(attempt) + " times");
-    }
-    auto alloc = vbm_.AllocatePage(area, level, gc_stream);
-    if (!alloc.has_value()) {
-      throw ftl::MediaError(
-          "PpbFtl: spare pool exhausted while retrying a failed program");
-    }
-    if (alloc->diverted) ppb_stats_.diverted_writes++;
-    if (alloc->fast_class) {
-      ppb_stats_.fast_class_writes++;
-    } else {
-      ppb_stats_.slow_class_writes++;
-    }
-    ppn = alloc->ppn;
-    pr = target_.ProgramPageChecked(ppn, pr.done);
-  }
-  return {ppn, pr.done};
-}
-
-Us PpbFtl::PlacePage(Lpn lpn, HotnessLevel level, Us earliest) {
-  const Area area = AreaOf(level);
-  auto alloc = vbm_.AllocatePage(area, level);
+VbAllocation PpbFtl::Allocate(HotnessLevel level, bool gc_stream,
+                              const char* context) {
+  const auto alloc = vbm_.AllocatePage(AreaOf(level), level, gc_stream);
   if (!alloc.has_value()) {
     // GC thresholds keep the free pool alive in the fault-free device;
     // running dry means retirement ate the spare pool (e.g. a lost die).
-    throw ftl::MediaError("PpbFtl: spare pool exhausted on host write");
+    throw ftl::MediaError(std::string("PpbFtl: spare pool exhausted ") +
+                          context);
   }
-  if (alloc->diverted) ppb_stats_.diverted_writes++;
   if (alloc->fast_class) {
     ppb_stats_.fast_class_writes++;
   } else {
     ppb_stats_.slow_class_writes++;
   }
-  const ProgramOutcome out =
-      ProgramWithRetry(alloc->ppn, area, level, /*gc_stream=*/false, earliest);
-  const Ppn old = map_.Update(lpn, out.ppn);
-  if (old != kInvalidPpn) blocks_.RemoveValid(target_.geometry().BlockOf(old));
-  blocks_.AddValid(target_.geometry().BlockOf(out.ppn));
-  return out.done;
+  return *alloc;
+}
+
+ftl::FtlBase::Placement PpbFtl::PlaceHostPage(Lpn lpn,
+                                              std::uint64_t request_bytes) {
+  const HotnessLevel level = ClassifyWrite(lpn, request_bytes);
+  if (AreaOf(level) == Area::kHot) {
+    ppb_stats_.hot_area_writes++;
+  } else {
+    ppb_stats_.cold_area_writes++;
+  }
+  const VbAllocation alloc = Allocate(level, /*gc_stream=*/false,
+                                      "on host write");
+  if (alloc.diverted) ppb_stats_.diverted_writes++;
+  return {alloc.ppn, StreamOf(level, /*gc_stream=*/false)};
+}
+
+ftl::FtlBase::Placement PpbFtl::PlaceGcPage(Lpn lpn, Ppn src,
+                                            BlockId victim) {
+  const Area src_area = vbm_.AreaOfBlock(victim);
+  const bool src_fast = vbm_.IsFastClassPage(target_.geometry().PageOf(src));
+  HotnessLevel level;
+  if (ppb_config_.migrate_on_gc) {
+    level = RelocationLevel(lpn, src_area);
+  } else {
+    level = src_area == Area::kHot
+                ? (src_fast ? HotnessLevel::kIronHot : HotnessLevel::kHot)
+                : (src_fast ? HotnessLevel::kCold : HotnessLevel::kIcyCold);
+  }
+  // A first GC placement's diversion is not counted; a GC retry's is.
+  const VbAllocation alloc = Allocate(level, /*gc_stream=*/true,
+                                      "on GC relocation");
+  if (alloc.fast_class != src_fast || AreaOf(level) != src_area) {
+    ppb_stats_.gc_migrations++;
+  }
+  return {alloc.ppn, StreamOf(level, /*gc_stream=*/true)};
+}
+
+Ppn PpbFtl::PlaceAgain(std::uint32_t stream) {
+  const VbAllocation alloc =
+      Allocate(static_cast<HotnessLevel>(stream & ~kGcStreamBit),
+               (stream & kGcStreamBit) != 0, "while retrying a failed program");
+  if (alloc.diverted) ppb_stats_.diverted_writes++;
+  return alloc.ppn;
 }
 
 void PpbFtl::OnGcVictimChosen(BlockId victim) {
@@ -190,111 +198,40 @@ void PpbFtl::OnGcVictimChosen(BlockId victim) {
   ppb_stats_.gc_victim_valid_by_area[area_idx] += blocks_.ValidCount(victim);
 }
 
-Us PpbFtl::RelocatePageForGc(Lpn lpn, Ppn src, BlockId victim, Us earliest) {
-  const auto& geo = target_.geometry();
-  const std::uint32_t p = geo.PageOf(src);
-  HotnessLevel level;
-  if (ppb_config_.migrate_on_gc) {
-    level = RelocationLevel(lpn, vbm_.AreaOfBlock(victim));
-  } else {
-    const Area src_area = vbm_.AreaOfBlock(victim);
-    const bool src_fast = vbm_.IsFastClassPage(p);
-    level = src_area == Area::kHot
-                ? (src_fast ? HotnessLevel::kIronHot : HotnessLevel::kHot)
-                : (src_fast ? HotnessLevel::kCold : HotnessLevel::kIcyCold);
-  }
-  auto alloc = vbm_.AllocatePage(AreaOf(level), level, /*gc_stream=*/true);
-  if (!alloc.has_value()) {
-    throw ftl::MediaError("PpbFtl: spare pool exhausted on GC relocation");
-  }
-  const bool class_changed = alloc->fast_class != vbm_.IsFastClassPage(p) ||
-                             AreaOf(level) != vbm_.AreaOfBlock(victim);
-  if (class_changed) ppb_stats_.gc_migrations++;
-  if (alloc->fast_class) {
-    ppb_stats_.fast_class_writes++;
-  } else {
-    ppb_stats_.slow_class_writes++;
-  }
-  const ftl::MediaReadResult rr =
-      target_.ReadPageChecked(src, earliest, 0, ftl::ReadKind::kGc);
-  // The destination page is programmed even when the source read failed:
-  // the VB fill pointer already advanced and NAND forbids holes in the
-  // program order.  A lost source just relocates garbage.
-  const ProgramOutcome out =
-      ProgramWithRetry(alloc->ppn, AreaOf(level), level, /*gc_stream=*/true,
-                       rr.done);
-  if (rr.DataLost()) {
-    OnGcReadLost(lpn, victim);
-  } else {
-    map_.ReleasePpn(src);
-    map_.Update(lpn, out.ppn);
-    blocks_.RemoveValid(victim);
-    blocks_.AddValid(geo.BlockOf(out.ppn));
-  }
-  stats_.gc_page_copies++;
-  return out.done;
-}
-
-Us PpbFtl::DoWrite(Lpn lpn_first, std::uint32_t pages,
-                   std::uint64_t request_bytes, Us earliest) {
-  const Us gc_done = MaybeRunGc(earliest);
-  const Us start = config_.charge_gc_to_write ? gc_done : earliest;
-  Us completion = start;
-  for (std::uint32_t i = 0; i < pages; ++i) {
-    const Lpn lpn = lpn_first + i;
-    const HotnessLevel level = ClassifyWrite(lpn, request_bytes);
-    if (AreaOf(level) == Area::kHot) {
-      ppb_stats_.hot_area_writes++;
-    } else {
-      ppb_stats_.cold_area_writes++;
-    }
-    const Us done = PlacePage(lpn, level, start);
-    if (done > completion) completion = done;
-  }
-  return completion;
-}
-
 Us PpbFtl::DoRead(Lpn lpn_first, std::uint32_t pages,
                   std::uint64_t offset_bytes, std::uint64_t size_bytes,
                   Us earliest) {
-  Us completion = earliest;
-  for (std::uint32_t i = 0; i < pages; ++i) {
-    const Lpn lpn = lpn_first + i;
-    const Ppn ppn = map_.Lookup(lpn);
-    if (ppn == kInvalidPpn) continue;
-    const std::uint32_t page_in_block = target_.geometry().PageOf(ppn);
-    if (vbm_.IsFastClassPage(page_in_block)) {
-      ppb_stats_.fast_reads++;
-    } else {
-      ppb_stats_.slow_reads++;
-    }
-    const TwoLevelLru::Tier tier = lru_.TierOf(lpn);
-    const auto level_idx = static_cast<std::size_t>(LevelOf(lpn, tier));
-    ppb_stats_.reads_at_level[level_idx]++;
-    ppb_stats_.read_factor_sum[level_idx] +=
-        target_.latency_model().SpeedFactor(page_in_block);
-    const ftl::MediaReadResult rr = target_.ReadPageChecked(
-        ppn, earliest, TransferBytesFor(lpn, offset_bytes, size_bytes));
-    if (rr.DataLost()) OnHostReadLost(lpn);
-    if (rr.done > completion) completion = rr.done;
-
-    // Progressive bookkeeping (no physical movement here).
-    if (tier != TwoLevelLru::Tier::kNone) {
-      const auto out = lru_.OnRead(lpn);
-      if (tier == TwoLevelLru::Tier::kHot) ppb_stats_.iron_promotions++;
-      if (out.demoted_to_cold) {
-        freq_.OnWrite(*out.demoted_to_cold);
-        ppb_stats_.cold_demotions++;
-      }
-    } else {
-      freq_.OnRead(lpn);
-    }
-  }
-  return completion;
+  return ReadPages(
+      lpn_first, pages, offset_bytes, size_bytes, earliest,
+      [this](Lpn lpn, Ppn ppn) {
+        const std::uint32_t page_in_block = target_.geometry().PageOf(ppn);
+        if (vbm_.IsFastClassPage(page_in_block)) {
+          ppb_stats_.fast_reads++;
+        } else {
+          ppb_stats_.slow_reads++;
+        }
+        const TwoLevelLru::Tier tier = lru_.TierOf(lpn);
+        const auto level_idx = static_cast<std::size_t>(LevelOf(lpn, tier));
+        ppb_stats_.reads_at_level[level_idx]++;
+        ppb_stats_.read_factor_sum[level_idx] +=
+            target_.latency_model().SpeedFactor(page_in_block);
+        // Progressive bookkeeping (no physical movement here).  It may run
+        // before the media read: that read touches neither table.
+        if (tier != TwoLevelLru::Tier::kNone) {
+          const auto out = lru_.OnRead(lpn);
+          if (tier == TwoLevelLru::Tier::kHot) ppb_stats_.iron_promotions++;
+          if (out.demoted_to_cold) {
+            freq_.OnWrite(*out.demoted_to_cold);
+            ppb_stats_.cold_demotions++;
+          }
+        } else {
+          freq_.OnRead(lpn);
+        }
+      });
 }
 
 bool PpbFtl::CheckInvariants() const {
-  if (!map_.CheckConsistent()) return false;
+  if (!FtlBase::CheckInvariants()) return false;
   if (!vbm_.CheckInvariants()) return false;
   if (!lru_.CheckInvariants()) return false;
   // The frequency table's live count matches its tracked pages and stays
@@ -312,16 +249,7 @@ bool PpbFtl::CheckInvariants() const {
   if (cold_tracked != freq_.Size() || cold_tracked > freq_.capacity()) {
     return false;
   }
-  const auto& geo = target_.geometry();
-  std::vector<std::uint32_t> valid(geo.TotalBlocks(), 0);
-  for (Lpn lpn = 0; lpn < map_.logical_pages(); ++lpn) {
-    const Ppn ppn = map_.Lookup(lpn);
-    if (ppn == kInvalidPpn) continue;
-    if (!target_.nand().IsPageProgrammed(ppn)) return false;
-    valid[geo.BlockOf(ppn)]++;
-  }
-  for (BlockId b = 0; b < geo.TotalBlocks(); ++b) {
-    if (valid[b] != blocks_.ValidCount(b)) return false;
+  for (BlockId b = 0; b < target_.geometry().TotalBlocks(); ++b) {
     // The VBM fill pointer must agree with the NAND program pointer.
     if (vbm_.FillOf(b) != target_.nand().NextProgramPage(b)) return false;
     // Pairing invariant: any block holding data belongs to exactly one area.

@@ -15,6 +15,10 @@
 // GC: greedy min-valid victim among FULL physical blocks; each valid page is
 // relocated to the virtual block matching its CURRENT hotness level — this
 // is the "conduct during GC" migration edge of Figure 6.
+//
+// ftl::FtlBase runs the read, write, GC-copy and program-retry loops; this
+// class supplies where each page goes (area, level, fast/slow class) and
+// its per-read hotness bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -118,20 +122,27 @@ class PpbFtl : public ftl::FtlBase {
     return 4ull * config().write_frontiers + 1;
   }
 
-  /// Deep structural check across mapping, block accounting, VB lists and
-  /// both hotness tables (no page tracked by both areas).
-  bool CheckInvariants() const;
+  /// Deep structural check: the base audit plus VB lists, fill pointers,
+  /// area pairing and both hotness tables (no page tracked by both areas).
+  bool CheckInvariants() const override;
 
  protected:
+  /// Per-read bookkeeping: fast/slow and per-level read counts, then the
+  /// progressive promotions (hot -> iron-hot, cold-area frequency).
   Us DoRead(Lpn lpn_first, std::uint32_t pages, std::uint64_t offset_bytes,
             std::uint64_t size_bytes, Us earliest) override;
-  Us DoWrite(Lpn lpn_first, std::uint32_t pages, std::uint64_t request_bytes,
-             Us earliest) override;
 
-  /// One GC relocation (dual-use: each iteration of the base inline loop,
-  /// and each scheduled kGcCopy transaction): hotness re-ranking +
-  /// placement with progressive migration preserved.
-  Us RelocatePageForGc(Lpn lpn, Ppn src, BlockId victim, Us earliest) override;
+  /// Host page: ClassifyWrite picks the level (and so the area); the VB
+  /// allocation counts diverted and fast/slow writes.
+  Placement PlaceHostPage(Lpn lpn, std::uint64_t request_bytes) override;
+  /// GC copy: RelocationLevel (or the source class without migrate_on_gc)
+  /// picks the level on the area's GC stream; a class change counts as a
+  /// GC migration.
+  Placement PlaceGcPage(Lpn lpn, Ppn src, BlockId victim) override;
+  /// Retry on the same area, level and stream as the failed program,
+  /// counting diverted and fast/slow writes (GC retries included).
+  Ppn PlaceAgain(std::uint32_t stream) override;
+
   void OnGcVictimChosen(BlockId victim) override;
   void OnGcBlockErased(BlockId victim) override { vbm_.OnBlockErased(victim); }
 
@@ -139,20 +150,17 @@ class PpbFtl : public ftl::FtlBase {
   void LoadVariantState(util::StateReader& r) override;
 
  private:
-  /// Places one logical page at `level`, running GC first when the free
-  /// pool is exhausted.  Returns program completion time.
-  Us PlacePage(Lpn lpn, HotnessLevel level, Us earliest);
+  /// Placement stream of a page: its level (which fixes the area) plus the
+  /// GC-stream bit.
+  static constexpr std::uint32_t kGcStreamBit = 4;
+  static std::uint32_t StreamOf(HotnessLevel level, bool gc_stream) {
+    return static_cast<std::uint32_t>(level) | (gc_stream ? kGcStreamBit : 0);
+  }
 
-  /// Programs `ppn` (already allocated at area/level), re-allocating on
-  /// program failure until a program verifies (bounded by
-  /// FlashTarget::MaxProgramAttempts; throws MediaError on exhaustion).
-  /// Returns the page that finally took the data and its completion time.
-  struct ProgramOutcome {
-    Ppn ppn;
-    Us done;
-  };
-  ProgramOutcome ProgramWithRetry(Ppn ppn, Area area, HotnessLevel level,
-                                  bool gc_stream, Us earliest);
+  /// Allocates a page at `level` in its area and counts its class; throws
+  /// MediaError ("spare pool exhausted <context>") when no block is left.
+  VbAllocation Allocate(HotnessLevel level, bool gc_stream,
+                        const char* context);
 
   /// LevelOf for a page whose hot-area tier the caller already read.
   HotnessLevel LevelOf(Lpn lpn, TwoLevelLru::Tier tier) const;

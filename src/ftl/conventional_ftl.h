@@ -7,7 +7,8 @@
 // through the die-striped WriteAllocator: with `write_frontiers = 1` each
 // stream fills one globally active block (the seed behavior, bit-for-bit);
 // with more frontiers consecutive pages stripe across dies and overlap
-// their program times under TimingMode::kQueued.
+// their program times under TimingMode::kQueued.  FtlBase runs the page
+// loops; this class only allocates pages from its two streams.
 #pragma once
 
 #include <cstdint>
@@ -41,20 +42,16 @@ class ConventionalFtl : public FtlBase {
 
   const WriteAllocator& write_allocator() const { return walloc_; }
 
-  /// Invariant probe for property tests: every mapped lpn points at a
-  /// programmed page, valid counters match the mapping, free counts agree.
-  bool CheckInvariants() const;
-
  protected:
-  Us DoRead(Lpn lpn_first, std::uint32_t pages, std::uint64_t offset_bytes,
-            std::uint64_t size_bytes, Us earliest) override;
-  Us DoWrite(Lpn lpn_first, std::uint32_t pages, std::uint64_t request_bytes,
-             Us earliest) override;
-
-  /// One GC relocation (dual-use: each iteration of the base inline loop,
-  /// and each scheduled kGcCopy transaction): GC-stream allocation, mapping
-  /// update, CopyPage timing.
-  Us RelocatePageForGc(Lpn lpn, Ppn src, BlockId victim, Us earliest) override;
+  // Placement: host pages on the host stream, GC copies on the GC stream,
+  // a failed program's retry on the stream it failed on.
+  Placement PlaceHostPage(Lpn /*lpn*/, std::uint64_t /*bytes*/) override {
+    return {AllocatePage(kHostStream), kHostStream};
+  }
+  Placement PlaceGcPage(Lpn /*lpn*/, Ppn /*src*/, BlockId /*victim*/) override {
+    return {AllocatePage(kGcStream), kGcStream};
+  }
+  Ppn PlaceAgain(std::uint32_t stream) override { return AllocatePage(stream); }
 
   void SaveVariantState(util::StateWriter& w) const override {
     w.Tag("CFTL");
@@ -66,25 +63,12 @@ class ConventionalFtl : public FtlBase {
   }
 
  private:
-  /// Next programmable ppn on the host or GC write stream, opening new
-  /// frontier blocks when needed.  Never runs GC.  Host and GC traffic use
-  /// separate streams (standard dual-stream design); this also prevents the
-  /// GC-burst/host-write phasing from accidentally sorting cold data into
-  /// top-layer pages.
-  Ppn AllocatePage(bool for_gc);
-
-  /// Programs `ppn` (already allocated on the matching stream),
-  /// re-allocating on program failure until a program verifies (bounded by
-  /// FlashTarget::MaxProgramAttempts; throws MediaError on exhaustion).
-  /// Returns the page that finally took the data and its completion time.
-  struct ProgramOutcome {
-    Ppn ppn;
-    Us done;
-  };
-  ProgramOutcome ProgramWithRetry(Ppn ppn, bool for_gc, Us earliest);
-
-  /// Writes one logical page (mapping update + program).
-  Us WriteOnePage(Lpn lpn, Us earliest);
+  /// Next programmable ppn on `stream` (kHostStream or kGcStream), opening
+  /// new frontier blocks when needed.  Never runs GC.  Host and GC traffic
+  /// use separate streams (standard dual-stream design); this also prevents
+  /// the GC-burst/host-write phasing from accidentally sorting cold data
+  /// into top-layer pages.
+  Ppn AllocatePage(std::uint32_t stream);
 
   WriteAllocator walloc_;  ///< streams: {kHostStream, kGcStream}
 };

@@ -247,12 +247,6 @@ MediaOpResult FlashTarget::EraseBlockChecked(BlockId block, Us earliest) {
   return out;
 }
 
-Us FlashTarget::CopyPage(Ppn from, Ppn to, Us earliest) {
-  const Us read_done =
-      ReadPageChecked(from, earliest, 0, ReadKind::kGc).done;
-  return ProgramPage(to, read_done);
-}
-
 void FlashTarget::SaveReadStats(util::StateWriter& w,
                                 const ReadErrorStats& s) {
   w.PutU64(s.sampled_reads);

@@ -152,11 +152,6 @@ class FlashTarget {
   /// die loss (the FTL retires the block as grown-bad).
   MediaOpResult EraseBlockChecked(BlockId block, Us earliest);
 
-  /// Internal GC copy (read then program, no host transfer across the bus is
-  /// saved because planes lack copy-back here): returns program completion.
-  /// The read is attributed to the GC error stats.
-  Us CopyPage(Ppn from, Ppn to, Us earliest);
-
   nand::NandDevice& nand() { return nand_; }
   const nand::NandDevice& nand() const { return nand_; }
   const nand::NandGeometry& geometry() const { return nand_.geometry(); }

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -69,37 +70,47 @@ FtlBase::FtlBase(FlashTarget& target, const FtlConfig& config)
       map_(logical_pages_, target.geometry().TotalPages()),
       blocks_(target.geometry().TotalBlocks(),
               target.geometry().pages_per_block),
-      wear_leveler_(config.wear) {}
+      wear_leveler_(config.wear) {
+  if (config_.wear.Enabled()) {
+    // Dual-pool wear leveling: allocators pick blocks by erase count.
+    blocks_.SetWearProvider(
+        [this](BlockId b) { return target_.nand().PeCycles(b); });
+  }
+}
 
-void FtlBase::CheckRange(std::uint64_t offset_bytes,
-                         std::uint64_t size_bytes) const {
+std::pair<Lpn, std::uint32_t> FtlBase::PageSpan(
+    std::uint64_t offset_bytes, std::uint64_t size_bytes) const {
   if (size_bytes == 0) {
     throw std::invalid_argument("FtlBase: zero-sized request");
   }
   if (offset_bytes + size_bytes > LogicalBytes()) {
     throw std::invalid_argument("FtlBase: request beyond logical capacity");
   }
+  const Lpn first = offset_bytes / PageSize();
+  const Lpn last = (offset_bytes + size_bytes - 1) / PageSize();
+  return {first, static_cast<std::uint32_t>(last - first + 1)};
 }
 
 RequestResult FtlBase::Read(std::uint64_t offset_bytes,
                             std::uint64_t size_bytes, Us arrival_us) {
-  CheckRange(offset_bytes, size_bytes);
-  const Lpn first = offset_bytes / PageSize();
-  const Lpn last = (offset_bytes + size_bytes - 1) / PageSize();
-  const auto pages = static_cast<std::uint32_t>(last - first + 1);
-  RequestResult r;
-  r.arrival_us = arrival_us;
-  r.pages = pages;
-  r.completion_us = DoRead(first, pages, offset_bytes, size_bytes, arrival_us);
-  if (r.completion_us < arrival_us) r.completion_us = arrival_us;
+  const auto [first, pages] = PageSpan(offset_bytes, size_bytes);
+  const Us done = DoRead(first, pages, offset_bytes, size_bytes, arrival_us);
   stats_.host_read_pages += pages;
-  return r;
+  return {arrival_us, std::max(done, arrival_us), pages};
 }
 
-std::optional<BlockId> FtlBase::PickVictim(const BlockManager& blocks) {
-  const auto wl = wear_leveler_.MaybeOverrideVictim(blocks, target_.nand());
+RequestResult FtlBase::Write(std::uint64_t offset_bytes,
+                             std::uint64_t size_bytes, Us arrival_us) {
+  const auto [first, pages] = PageSpan(offset_bytes, size_bytes);
+  const Us done = WritePages(first, pages, size_bytes, arrival_us);
+  stats_.host_write_pages += pages;
+  return {arrival_us, std::max(done, arrival_us), pages};
+}
+
+std::optional<BlockId> FtlBase::PickVictim() {
+  const auto wl = wear_leveler_.MaybeOverrideVictim(blocks_, target_.nand());
   if (wl) return wl;
-  return blocks.PickGcVictim();
+  return blocks_.PickGcVictim();
 }
 
 std::uint64_t FtlBase::TransferBytesFor(Lpn lpn, std::uint64_t offset_bytes,
@@ -112,19 +123,58 @@ std::uint64_t FtlBase::TransferBytesFor(Lpn lpn, std::uint64_t offset_bytes,
   return hi > lo ? hi - lo : 0;
 }
 
-RequestResult FtlBase::Write(std::uint64_t offset_bytes,
-                             std::uint64_t size_bytes, Us arrival_us) {
-  CheckRange(offset_bytes, size_bytes);
-  const Lpn first = offset_bytes / PageSize();
-  const Lpn last = (offset_bytes + size_bytes - 1) / PageSize();
-  const auto pages = static_cast<std::uint32_t>(last - first + 1);
-  RequestResult r;
-  r.arrival_us = arrival_us;
-  r.pages = pages;
-  r.completion_us = DoWrite(first, pages, size_bytes, arrival_us);
-  if (r.completion_us < arrival_us) r.completion_us = arrival_us;
-  stats_.host_write_pages += pages;
-  return r;
+Us FtlBase::WritePages(Lpn lpn_first, std::uint32_t pages,
+                       std::uint64_t request_bytes, Us earliest) {
+  const Us gc_done = MaybeRunGc(earliest);
+  const Us start = config_.charge_gc_to_write ? gc_done : earliest;
+  Us completion = start;
+  for (std::uint32_t i = 0; i < pages; ++i) {
+    const Lpn lpn = lpn_first + i;
+    const ProgramOutcome out =
+        ProgramWithRetry(PlaceHostPage(lpn, request_bytes), start);
+    Remap(lpn, out.ppn);
+    if (out.done > completion) completion = out.done;
+  }
+  return completion;
+}
+
+FtlBase::ProgramOutcome FtlBase::ProgramWithRetry(Placement at, Us earliest) {
+  MediaOpResult pr = target_.ProgramPageChecked(at.ppn, earliest);
+  for (std::uint32_t attempt = 1; pr.failed; ++attempt) {
+    OnProgramFailure(at.ppn, pr.die_lost);
+    if (attempt >= target_.MaxProgramAttempts()) {
+      throw MediaError(Name() + ": page program failed " +
+                       std::to_string(attempt) + " times");
+    }
+    at.ppn = PlaceAgain(at.stream);
+    pr = target_.ProgramPageChecked(at.ppn, pr.done);
+  }
+  return {at.ppn, pr.done};
+}
+
+void FtlBase::Remap(Lpn lpn, Ppn ppn) {
+  const auto& geo = target_.geometry();
+  const Ppn old = map_.Update(lpn, ppn);
+  if (old != kInvalidPpn) blocks_.RemoveValid(geo.BlockOf(old));
+  blocks_.AddValid(geo.BlockOf(ppn));
+}
+
+Us FtlBase::RelocatePageForGc(Lpn lpn, Ppn src, BlockId victim, Us earliest) {
+  // The destination is placed BEFORE the source read: the die striper
+  // consults die availability, which the read booking would shift.
+  const Placement dst = PlaceGcPage(lpn, src, victim);
+  const MediaReadResult rr =
+      target_.ReadPageChecked(src, earliest, 0, ReadKind::kGc);
+  const ProgramOutcome out = ProgramWithRetry(dst, rr.done);
+  if (rr.DataLost()) {
+    map_.Unmap(lpn);
+    blocks_.RemoveValid(victim);
+    fault_stats_.gc_lost_pages++;
+  } else {
+    Remap(lpn, out.ppn);  // `lpn` still maps to `src` on `victim`
+  }
+  stats_.gc_page_copies++;
+  return out.done;
 }
 
 Us FtlBase::MaybeRunGc(Us earliest) {
@@ -134,7 +184,7 @@ Us FtlBase::MaybeRunGc(Us earliest) {
   if (in_gc_) return earliest;
   Us completion = earliest;
   while (blocks_.FreeCount() <= config_.gc_threshold_low) {
-    const auto victim = PickVictim(blocks_);
+    const auto victim = PickVictim();
     if (!victim) break;  // nothing reclaimable
     in_gc_ = true;
     OnGcVictimChosen(*victim);
@@ -173,6 +223,27 @@ Us FtlBase::EraseGcVictim(BlockId victim, Us earliest) {
   return er.done;
 }
 
+bool FtlBase::CheckInvariants() const {
+  if (!map_.CheckConsistent()) return false;
+  const auto& geo = target_.geometry();
+  const nand::NandDevice& nand = target_.nand();
+  // Valid counters must equal the number of mapped pages per block.
+  std::vector<std::uint32_t> valid(geo.TotalBlocks(), 0);
+  for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
+    const Ppn ppn = map_.Lookup(lpn);
+    if (ppn == kInvalidPpn) continue;
+    if (!nand.IsPageProgrammed(ppn)) return false;
+    valid[geo.BlockOf(ppn)]++;
+  }
+  for (BlockId b = 0; b < geo.TotalBlocks(); ++b) {
+    if (valid[b] != blocks_.ValidCount(b)) return false;
+    if (blocks_.UseOf(b) == BlockUse::kFree && !nand.IsBlockErased(b)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void FtlBase::OnProgramFailure(Ppn failed_ppn, bool die_lost) {
   const nand::NandDevice& nand = target_.nand();
   const BlockId block = target_.geometry().BlockOf(failed_ppn);
@@ -196,14 +267,8 @@ void FtlBase::OnHostReadLost(Lpn lpn) {
   fault_stats_.host_unreadable_pages++;
 }
 
-void FtlBase::OnGcReadLost(Lpn lpn, BlockId victim) {
-  map_.Unmap(lpn);
-  blocks_.RemoveValid(victim);
-  fault_stats_.gc_lost_pages++;
-}
-
 void FtlBase::PlanGcVictim(std::vector<sched::FlashTransaction>& out) {
-  const auto victim = PickVictim(blocks_);
+  const auto victim = PickVictim();
   if (!victim) {
     // Nothing reclaimable (all spare space sits in open blocks); stand down
     // until the pool state changes.

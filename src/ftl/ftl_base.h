@@ -1,18 +1,36 @@
-// Common FTL interface and statistics.
+// Common FTL interface, statistics and the one page path every variant runs.
 //
 // Host requests arrive as (byte offset, byte length, arrival time); the base
-// class splits them into logical pages and dispatches to the variant's
-// per-request hooks.  Per-request latency is the completion of the slowest
-// page operation minus arrival (the channel/chip timelines supply queueing).
+// class splits them into logical pages.  Per-request latency is the
+// completion of the slowest page operation minus arrival (the channel/chip
+// timelines supply queueing).
 //
 // The base class owns the structures every variant shares — the page-level
-// mapping table and the per-block accounting — plus the GC machinery that
-// operates on them.  GC work can be routed two ways (FtlConfig::gc_routing):
+// mapping table and the per-block accounting — and every loop over pages:
 //
-//  * kInline (default): the variant's GC loop books die timelines inline
-//    with the triggering write, invisible to the host scheduler.  This is
-//    the paper's accounting (GC cost shows up through erase counts) and is
-//    bit-for-bit the seed behavior.
+//  * read:    look the page up, read it (unmapped pages carry no flash
+//             work), unmap it when its data is lost;
+//  * write:   run inline GC when due, then per page place -> program with
+//             retry -> remap;
+//  * GC copy: place the destination, read the source, program with retry,
+//             remap (or drop the mapping when the source read lost it);
+//  * program with retry: a failed program flags its block for retirement
+//             and the page is placed again on the same stream, up to
+//             FlashTarget::MaxProgramAttempts;
+//  * audit:   CheckInvariants (mapping, valid counts, free blocks erased).
+//
+// A variant decides only WHERE a page goes, through its placement hooks:
+// PlaceHostPage, PlaceGcPage and PlaceAgain (plus, for reads, the per-page
+// bookkeeping it hands to the ReadPages template — no virtual call per read
+// page).  The conventional FTL fills its host and GC write streams blindly;
+// PPB picks the hot or cold area and the fast or slow virtual-block class.
+//
+// GC work can be routed two ways (FtlConfig::gc_routing):
+//
+//  * kInline (default): GC books die timelines inline with the triggering
+//    write, invisible to the host scheduler.  This is the paper's
+//    accounting (GC cost shows up through erase counts) and is bit-for-bit
+//    the seed behavior.
 //  * kScheduled: the FTL never times GC itself.  When the free pool drops
 //    to the trigger, the base-class planner picks a victim and EMITS its
 //    relocation copies and the final erase as sched::FlashTransactions
@@ -26,6 +44,7 @@
 //    host already rewrote the data — skipping the copy is free WAF).
 //    Requires all post-attach writes to flow through the host interface.
 //
+// Both routes relocate each page through the same GC-copy path.
 // `charge_gc_to_write` (kInline only) switches to a foreground-GC device
 // that stalls the triggering write.
 #pragma once
@@ -34,6 +53,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftl/block_manager.h"
@@ -134,7 +154,8 @@ class FtlBase {
   RequestResult Read(std::uint64_t offset_bytes, std::uint64_t size_bytes,
                      Us arrival_us);
 
-  /// Host write (out-of-place update).
+  /// Host write (out-of-place update): inline GC when due, then each page
+  /// is placed by the variant, programmed (with retry) and remapped.
   RequestResult Write(std::uint64_t offset_bytes, std::uint64_t size_bytes,
                       Us arrival_us);
 
@@ -169,6 +190,12 @@ class FtlBase {
   const MappingTable& mapping() const { return map_; }
   const BlockManager& blocks() const { return blocks_; }
 
+  /// Audit for property tests: the mapping is consistent, every mapped lpn
+  /// points at a programmed page, per-block valid counters match the
+  /// mapping, and every free block is erased.  Variants extend it with
+  /// their own structures.
+  virtual bool CheckInvariants() const;
+
   // --- scheduled-GC transaction API (gc_routing = kScheduled) --------------
   //
   // The host IoScheduler is the only intended caller.  Flow per victim:
@@ -179,8 +206,8 @@ class FtlBase {
   // after the previous erase executed, so at most one victim is in flight.
 
   /// Registers the scheduler as the GC sink.  From this call on, inline GC
-  /// is disabled when gc_routing == kScheduled (until then the variant's
-  /// inline loop still runs, so synchronous prefill stays safe).  At most
+  /// is disabled when gc_routing == kScheduled (until then the inline loop
+  /// still runs, so synchronous prefill stays safe).  At most
   /// one sink may be attached at a time: a second attach would let one
   /// scheduler's destructor wipe plan state another still depends on.
   void AttachGcScheduler() {
@@ -278,64 +305,68 @@ class FtlBase {
   void LoadState(util::StateReader& r);
 
  protected:
-  /// Inline-routed GC (called by the variant's write path before it claims
-  /// pages): collects victims through the same variant hooks the scheduled
-  /// planner uses — OnGcVictimChosen, RelocatePageForGc per valid page,
-  /// OnGcBlockErased after the erase — until free blocks reach
-  /// gc_threshold_high.  Returns completion of all GC work (>= earliest).
-  /// No-op when ScheduledGcActive() (the scheduler owns GC then).
-  Us MaybeRunGc(Us earliest);
+  /// Where one page program goes: the page the variant allocated, and the
+  /// variant's write stream for it (opaque to the base).  A failed program
+  /// is placed again on the same stream (PlaceAgain).
+  struct Placement {
+    Ppn ppn = kInvalidPpn;
+    std::uint32_t stream = 0;
+  };
 
-  /// Per-request hooks: `lpn_first..lpn_first+pages` is the page span; the
-  /// request byte extent is passed through for classifiers (PPB size check)
-  /// and sub-page transfer accounting.  Return the completion (>= earliest).
+  // --- placement hooks: the variant decides where each page goes ----------
+
+  /// Page for a host write of `lpn`, part of a request of `request_bytes`
+  /// (classifiers read the size).  Must not run GC.
+  virtual Placement PlaceHostPage(Lpn lpn, std::uint64_t request_bytes) = 0;
+  /// Destination for GC relocating `lpn` from `src` on `victim`; chosen
+  /// before the source read books the die.
+  virtual Placement PlaceGcPage(Lpn lpn, Ppn src, BlockId victim) = 0;
+  /// Next page on `stream` after a program there failed.
+  virtual Ppn PlaceAgain(std::uint32_t stream) = 0;
+
+  /// Per-request read hook: the plain page loop.  A variant with per-read
+  /// bookkeeping overrides it with one ReadPages call carrying that
+  /// bookkeeping, so the page loop makes no virtual call.
   virtual Us DoRead(Lpn lpn_first, std::uint32_t pages,
                     std::uint64_t offset_bytes, std::uint64_t size_bytes,
-                    Us earliest) = 0;
-  virtual Us DoWrite(Lpn lpn_first, std::uint32_t pages,
-                     std::uint64_t request_bytes, Us earliest) = 0;
+                    Us earliest) {
+    return ReadPages(lpn_first, pages, offset_bytes, size_bytes, earliest,
+                     [](Lpn, Ppn) {});
+  }
 
-  // --- scheduled-GC variant hooks ------------------------------------------
+  /// The host read loop: for each mapped page of the span, `on_page(lpn,
+  /// ppn)` runs the variant's bookkeeping, then the page is read (only the
+  /// bytes the request covers cross the bus) and unmapped if its data is
+  /// lost.  Returns the completion of the slowest page.
+  template <typename OnPage>
+  Us ReadPages(Lpn lpn_first, std::uint32_t pages, std::uint64_t offset_bytes,
+               std::uint64_t size_bytes, Us earliest, OnPage&& on_page) {
+    Us completion = earliest;
+    for (std::uint32_t i = 0; i < pages; ++i) {
+      const Lpn lpn = lpn_first + i;
+      const Ppn ppn = map_.Lookup(lpn);
+      if (ppn == kInvalidPpn) continue;  // never-written data: no flash work
+      on_page(lpn, ppn);
+      const MediaReadResult rr = target_.ReadPageChecked(
+          ppn, earliest, TransferBytesFor(lpn, offset_bytes, size_bytes));
+      if (rr.DataLost()) OnHostReadLost(lpn);
+      if (rr.done > completion) completion = rr.done;
+    }
+    return completion;
+  }
 
-  /// Relocates one still-valid page for GC: allocate a destination on the
-  /// variant's GC stream, book the copy on the timelines, update mapping
-  /// and valid counters (and variant stats).  Returns program completion.
-  virtual Us RelocatePageForGc(Lpn lpn, Ppn src, BlockId victim,
-                               Us earliest) = 0;
-  /// Victim chosen by the scheduled planner (variant stats hook).
+  // --- GC variant hooks -----------------------------------------------------
+
+  /// Victim chosen by the inline loop or the scheduled planner (variant
+  /// stats hook).
   virtual void OnGcVictimChosen(BlockId /*victim*/) {}
-  /// Victim erased by a scheduled kGcErase (e.g. PPB resets its VB state).
+  /// Victim erased (e.g. PPB resets its VB state).
   virtual void OnGcBlockErased(BlockId /*victim*/) {}
 
   /// Variant-owned state appended to / read back from the base snapshot
   /// (write allocators, PPB virtual-block + hotness structures).
   virtual void SaveVariantState(util::StateWriter& w) const = 0;
   virtual void LoadVariantState(util::StateReader& r) = 0;
-
-  /// Bytes of page `lpn` covered by the request [offset, offset+size): the
-  /// data-out transfer for a host read of that page.
-  std::uint64_t TransferBytesFor(Lpn lpn, std::uint64_t offset_bytes,
-                                 std::uint64_t size_bytes) const;
-
-  /// GC victim choice shared by all variants: the wear leveler may override
-  /// the greedy pick to rotate cold data off young blocks.  Call
-  /// wear_leveler_.OnErase() after each erase so its cooldown advances.
-  std::optional<BlockId> PickVictim(const BlockManager& blocks);
-
-  // --- fault handling (variant write/read paths call these) ----------------
-
-  /// One failed page program: counts it and flags the block so its next GC
-  /// erase retires it.  On die loss also retires the lost die's remaining
-  /// spare blocks so the allocators stop claiming them.
-  void OnProgramFailure(Ppn failed_ppn, bool die_lost);
-
-  /// A host read found its data gone (retry ladder exhausted or die lost):
-  /// the page is unmapped — the stored copy no longer exists — and counted.
-  void OnHostReadLost(Lpn lpn);
-
-  /// A GC relocation read found the source page gone: the mapping is
-  /// dropped instead of relocated, and the loss counted.
-  void OnGcReadLost(Lpn lpn, BlockId victim);
 
   FlashTarget& target_;
   FtlConfig config_;
@@ -349,7 +380,64 @@ class FtlBase {
  private:
   static std::uint64_t ComputeLogicalPages(const FlashTarget& target,
                                            const FtlConfig& config);
-  void CheckRange(std::uint64_t offset_bytes, std::uint64_t size_bytes) const;
+  /// The request's first page and page count; throws std::invalid_argument
+  /// when the range is empty or leaves the logical space.
+  std::pair<Lpn, std::uint32_t> PageSpan(std::uint64_t offset_bytes,
+                                         std::uint64_t size_bytes) const;
+
+  /// Bytes of page `lpn` covered by the request [offset, offset+size): the
+  /// data-out transfer for a host read of that page.
+  std::uint64_t TransferBytesFor(Lpn lpn, std::uint64_t offset_bytes,
+                                 std::uint64_t size_bytes) const;
+
+  /// The host write loop (see Write).
+  Us WritePages(Lpn lpn_first, std::uint32_t pages,
+                std::uint64_t request_bytes, Us earliest);
+
+  /// Programs the placed page, placing again on the same stream after each
+  /// failed program (bounded by FlashTarget::MaxProgramAttempts; throws
+  /// MediaError on exhaustion).  Returns the page that finally took the
+  /// data and its completion time.
+  struct ProgramOutcome {
+    Ppn ppn;
+    Us done;
+  };
+  ProgramOutcome ProgramWithRetry(Placement at, Us earliest);
+
+  /// Points `lpn` at `ppn` and moves one valid page from the block of its
+  /// previous page (if any) to the block of `ppn`.
+  void Remap(Lpn lpn, Ppn ppn);
+
+  /// One GC relocation (each page of the inline loop, and each scheduled
+  /// kGcCopy): place the destination, read the source, program with retry,
+  /// remap.  The destination is programmed even when the source read lost
+  /// the data — the stream's fill pointer already advanced and NAND forbids
+  /// holes in the program order; the mapping is dropped instead.  Returns
+  /// program completion.
+  Us RelocatePageForGc(Lpn lpn, Ppn src, BlockId victim, Us earliest);
+
+  /// Inline-routed GC (the write loop calls it before placing pages):
+  /// collects victims — OnGcVictimChosen, RelocatePageForGc per valid page,
+  /// EraseGcVictim — until free blocks reach gc_threshold_high.  Returns
+  /// completion of all GC work (>= earliest).  No-op when
+  /// ScheduledGcActive() (the scheduler owns GC then).
+  Us MaybeRunGc(Us earliest);
+
+  /// GC victim choice shared by all variants: the wear leveler may override
+  /// the greedy pick to rotate cold data off young blocks.
+  std::optional<BlockId> PickVictim();
+
+  // --- fault handling --------------------------------------------------------
+
+  /// One failed page program: counts it and flags the block so its next GC
+  /// erase retires it.  On die loss also retires the lost die's remaining
+  /// spare blocks so the allocators stop claiming them.
+  void OnProgramFailure(Ppn failed_ppn, bool die_lost);
+
+  /// A host read found its data gone (retry ladder exhausted or die lost):
+  /// the page is unmapped — the stored copy no longer exists — and counted.
+  void OnHostReadLost(Lpn lpn);
+
   /// Appends the next victim's copy + erase transactions to `out`.
   /// Clears gc_active_ when nothing is reclaimable.
   void PlanGcVictim(std::vector<sched::FlashTransaction>& out);

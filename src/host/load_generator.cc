@@ -110,20 +110,29 @@ void LoadGenerator::OnComplete(std::size_t idx,
   if (run.workload.interarrival_us == 0) SubmitNext(idx);
 }
 
-void LoadGenerator::Submit(std::size_t idx, const trace::TraceRecord& r) {
+void LoadGenerator::Submit(std::size_t idx, const trace::TraceRecord& r,
+                           bool timed) {
   auto cb = [this, idx](const HostCompletion& c) { OnComplete(idx, c); };
-  if (host_.tenants() != nullptr) {
-    host_.SubmitAs(runs_[idx].workload.tenant, r.op, r.offset_bytes,
-                   r.size_bytes, std::move(cb));
+  const qos::TenantId tenant = runs_[idx].workload.tenant;
+  if (host_.tenants() == nullptr) {
+    if (timed) {
+      host_.SubmitAt(r.timestamp_us, r.op, r.offset_bytes, r.size_bytes,
+                     std::move(cb));
+    } else {
+      host_.Submit(r.op, r.offset_bytes, r.size_bytes, std::move(cb));
+    }
+  } else if (timed) {
+    host_.SubmitAtAs(r.timestamp_us, tenant, r.op, r.offset_bytes,
+                     r.size_bytes, std::move(cb));
   } else {
-    host_.Submit(r.op, r.offset_bytes, r.size_bytes, std::move(cb));
+    host_.SubmitAs(tenant, r.op, r.offset_bytes, r.size_bytes, std::move(cb));
   }
 }
 
 void LoadGenerator::SubmitNext(std::size_t idx) {
   StreamRun& run = runs_[idx];
   if (run.issued >= run.workload.total_requests) return;
-  Submit(idx, NextRecord(run, host_.queue().Now()));
+  Submit(idx, NextRecord(run, host_.queue().Now()), /*timed=*/false);
 }
 
 LoadResult LoadGenerator::Run() {
@@ -152,13 +161,13 @@ LoadResult LoadGenerator::Run() {
       continue;
     }
     // Paced open loop: every arrival is scheduled up front at its fixed
-    // cadence; the record stream is drawn here, in arrival order, so the
-    // run stays deterministic.
+    // cadence (a pooled timed submit, no closure per arrival); the record
+    // stream is drawn here, in arrival order, so the run stays
+    // deterministic.
     for (std::uint64_t i = 0; i < w.total_requests; ++i) {
-      const trace::TraceRecord r =
-          NextRecord(run, start + static_cast<Us>(i) * w.interarrival_us);
-      host_.queue().ScheduleAt(r.timestamp_us,
-                               [this, idx, r](Us) { Submit(idx, r); });
+      Submit(idx,
+             NextRecord(run, start + static_cast<Us>(i) * w.interarrival_us),
+             /*timed=*/true);
     }
   }
   host_.Run();

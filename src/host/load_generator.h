@@ -125,8 +125,9 @@ class LoadGenerator {
 
   /// Draws the stream's next request, to be submitted at `at`.
   trace::TraceRecord NextRecord(StreamRun& run, Us at);
-  /// Submits now, as the stream's tenant when the host has tenants.
-  void Submit(std::size_t idx, const trace::TraceRecord& record);
+  /// Submits now, or at record.timestamp_us when `timed`, as the stream's
+  /// tenant when the host has tenants.
+  void Submit(std::size_t idx, const trace::TraceRecord& record, bool timed);
   void SubmitNext(std::size_t idx);  ///< closed-loop chain
   void OnComplete(std::size_t idx, const HostCompletion& completion);
 

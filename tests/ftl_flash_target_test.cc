@@ -76,15 +76,6 @@ TEST(FlashTarget, EraseCompletion) {
   EXPECT_EQ(ft.EraseBlock(0, 123), 123 + 4000);
 }
 
-TEST(FlashTarget, CopyPageChainsReadThenProgram) {
-  FlashTarget ft(Geo(), Timing(), 1000, TimingMode::kServiceTime);
-  ft.ProgramPage(ft.geometry().PpnOf(0, 0), 0);
-  const Us done = ft.CopyPage(ft.geometry().PpnOf(0, 0),
-                              ft.geometry().PpnOf(1, 0), 0);
-  // read (80 + 1000) then program (1000 + 600).
-  EXPECT_EQ(done, 80 + 1000 + 1000 + 600);
-}
-
 TEST(FlashTarget, BusyTimeTrackedInBothModes) {
   for (auto mode : {TimingMode::kServiceTime, TimingMode::kQueued}) {
     FlashTarget ft(Geo(), Timing(), 1000, mode);

@@ -4,7 +4,8 @@
 //     the host's request slots, the scheduler's in-flight slots and the
 //     tracer's slot-indexed state are reused, not reallocated;
 //   * so does an open loop fed through SubmitAt / SubmitAtAs: a timed
-//     submit waits in a pooled record and its event in a FIFO run;
+//     submit waits in a pooled record and its event in a FIFO run — and
+//     so does a paced LoadGenerator stream, which schedules through them;
 //   * a completion callback's next request takes the slot just freed, and
 //     both requests keep correct completions and phase records;
 //   * throttled and backlogged requests keep their slot until admitted,
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "host/host_interface.h"
+#include "host/load_generator.h"
 #include "obs/phase.h"
 #include "obs/tracer.h"
 #include "qos/tenant.h"
@@ -197,23 +199,40 @@ class OpenLoop {
   std::uint64_t completed_ = 0;
 };
 
+/// A queued-timing, scheduled-GC device prefilled to 85 %, with one tenant
+/// owning every queue when `as_tenant`.
+struct OpenLoopRig {
+  explicit OpenLoopRig(bool as_tenant)
+      : ssd(Config()), prefill_end(Prefill(ssd, 85)),
+        host(ssd, HostConfigFor(as_tenant)) {
+    host.AdvanceTo(prefill_end);
+  }
+
+  static ssd::SsdConfig Config() {
+    auto cfg = QueuedConfig(256 * kMiB);
+    cfg.ftl.gc_routing = ftl::GcRouting::kScheduled;
+    return cfg;
+  }
+  static HostConfig HostConfigFor(bool as_tenant) {
+    HostConfig host_cfg;
+    if (as_tenant) {
+      host_cfg.qos.tenants.resize(1);
+      host_cfg.qos.tenants[0].name = "users";
+      host_cfg.qos.tenants[0].queues = {0, 1, 2, 3};
+    }
+    return host_cfg;
+  }
+
+  ssd::Ssd ssd;
+  Us prefill_end;
+  HostInterface host;
+};
+
 /// Heap allocations over `window` open-loop requests after `warmup`.
 std::uint64_t OpenLoopAllocationsInWindow(bool as_tenant, std::uint64_t warmup,
                                           std::uint64_t window) {
-  auto cfg = QueuedConfig(256 * kMiB);
-  cfg.ftl.gc_routing = ftl::GcRouting::kScheduled;
-  ssd::Ssd ssd(cfg);
-  const Us prefill_end = Prefill(ssd, 85);
-  HostConfig host_cfg;
-  if (as_tenant) {
-    host_cfg.qos.tenants.resize(1);
-    host_cfg.qos.tenants[0].name = "users";
-    host_cfg.qos.tenants[0].queues = {0, 1, 2, 3};
-  }
-  HostInterface host(ssd, host_cfg);
-  host.AdvanceTo(prefill_end);
-
-  OpenLoop loop(host, ssd.LogicalBytes() / 100 * 80, as_tenant);
+  OpenLoopRig rig(as_tenant);
+  OpenLoop loop(rig.host, rig.ssd.LogicalBytes() / 100 * 80, as_tenant);
   loop.RunFor(warmup);
   const std::uint64_t completed = loop.completed();
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -221,9 +240,34 @@ std::uint64_t OpenLoopAllocationsInWindow(bool as_tenant, std::uint64_t warmup,
   const std::uint64_t made =
       g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_GT(loop.completed() - completed, window * 9 / 10);
-  EXPECT_EQ(host.BacklogDepth(), 0u) << "the rate must stay sustainable";
-  EXPECT_GT(ssd.ftl().stats().gc_erases, 0u)
+  EXPECT_EQ(rig.host.BacklogDepth(), 0u) << "the rate must stay sustainable";
+  EXPECT_GT(rig.ssd.ftl().stats().gc_erases, 0u)
       << "the window must include scheduled GC";
+  return made;
+}
+
+/// Heap allocations over a paced LoadGenerator run of `window` requests at
+/// the OpenLoop's rate, after a warm-up run of the same stream that grows
+/// the generator's record log and the host's pools.
+std::uint64_t PacedLoadAllocations(bool as_tenant, std::uint64_t window) {
+  OpenLoopRig rig(as_tenant);
+  TenantWorkload stream;
+  stream.interarrival_us = OpenLoop::kPeriodUs;
+  stream.total_requests = window;
+  stream.read_fraction = 0.7;
+  stream.request_bytes = kPage;
+  stream.footprint_bytes = rig.ssd.LogicalBytes() / 100 * 80;
+  stream.seed = 31;
+  LoadGenerator generator(rig.host, {stream});
+  generator.Run();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const LoadResult result = generator.Run();
+  const std::uint64_t made =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(result.total.requests, window);
+  EXPECT_EQ(rig.host.BacklogDepth(), 0u) << "the rate must stay sustainable";
+  EXPECT_GT(rig.ssd.ftl().stats().gc_erases, 0u)
+      << "the runs must include scheduled GC";
   return made;
 }
 
@@ -236,6 +280,10 @@ TEST(HostSlots, OpenLoopMakesAlmostNoHeapAllocationPerRequest) {
             kWindow / 100);
   EXPECT_LT(OpenLoopAllocationsInWindow(true, kWarmup, kWindow),
             kWindow / 100);
+  // A paced LoadGenerator arrival used to capture its trace record in a
+  // 48-byte closure: one allocation per request.
+  EXPECT_LT(PacedLoadAllocations(false, kWindow), kWindow / 100);
+  EXPECT_LT(PacedLoadAllocations(true, kWindow), kWindow / 100);
 }
 
 /// Records which host slot each request's transactions carried.
